@@ -91,10 +91,13 @@ _ACQUIRABLE_RECEIVER = re.compile(r"lock|sem|cond|mutex", re.IGNORECASE)
 _FUTURE_RECEIVER = re.compile(r"fut|task|promise|pending|job", re.IGNORECASE)
 
 #: Solver entry points the budget discipline (BRS012) protects.  This is
-#: BRS007's `_SOLVER_ENTRIES` plus the sharded driver.
+#: BRS007's `_SOLVER_ENTRIES` plus the sharded driver and the columnar
+#: entry points the serve tier's exact rung calls.
 _SOLVER_NAMES = {
     "best_region",
     "coarse_grid_scan",
+    "columnar_best_region",
+    "columnar_slicebrs",
     "oe_maxrs",
     "solve",
     "solve_partitioned",

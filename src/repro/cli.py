@@ -220,7 +220,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store,
             cache=ResultCache(max_entries=args.cache_entries),
             workers=args.workers,
-            shards=args.shards,
             queue_capacity=args.queue_capacity,
             default_timeout=args.default_timeout,
             backend=args.backend,
@@ -235,7 +234,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache=ResultCache(max_entries=args.cache_entries),
             tenants=_load_tenants(args.tenants),
             workers=args.workers,
-            shards=args.shards,
             queue_capacity=args.queue_capacity,
             default_timeout=args.default_timeout,
             backend=args.backend,
@@ -623,12 +621,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.set_defaults(func=_cmd_solve)
 
-    serve = sub.add_parser("serve", help="run the HTTP query server")
+    serve = sub.add_parser(
+        "serve", help="run the HTTP query server",
+        description="Serve best-region queries over HTTP.  Each query that "
+                    "misses the cache is one exact solve (the columnar "
+                    "kernel for SUM scores, SliceBRS otherwise) under its "
+                    "deadline; an expired deadline or load shedding returns "
+                    "a degraded answer with a sound upper bound.",
+    )
     serve.add_argument("data", nargs="+", help="dataset JSON files to serve")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8331, help="TCP port (0 = ephemeral)")
     serve.add_argument("--workers", type=int, default=2, help="solver worker threads")
-    serve.add_argument("--shards", type=int, default=4, help="x-windows per solve")
     serve.add_argument(
         "--queue-capacity", type=int, default=64, dest="queue_capacity",
         help="open queries before admission control rejects (backpressure)",
@@ -643,8 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend", choices=("thread", "process"), default="thread",
-        help="shard execution backend: in-thread, or the multiprocessing "
-             "shard backend for large unfocused queries",
+        help="exact-solve backend: in the worker thread, or the "
+             "multiprocessing shard backend for large unfocused queries",
     )
     serve.add_argument(
         "--process-workers", type=int, default=2, dest="process_workers",

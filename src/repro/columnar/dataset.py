@@ -259,11 +259,17 @@ class ColumnarDataset:
         """
         half_a = a / 2.0
         half_b = b / 2.0
-        cand = self.slab_x(cx - half_b, cx + half_b)
+        # The rounded slab ends can cut an ulp inside the predicate's
+        # band; widen by one ulp and let the predicate itself decide.
+        cand = self.slab_x(
+            np.nextafter(cx - half_b, -np.inf), np.nextafter(cx + half_b, np.inf)
+        )
         if cand.size == 0:
             return []
-        ys = self.ys[cand]
-        inside = cand[(ys > cy - half_a) & (ys < cy + half_a)]
+        inside = cand[
+            (np.abs(self.xs[cand] - cx) < half_b)
+            & (np.abs(self.ys[cand] - cy) < half_a)
+        ]
         inside = np.sort(inside)
         return [int(i) for i in inside]
 

@@ -1,14 +1,15 @@
 """Vectorized sweep kernels over columnar SIRI rectangles.
 
 Every kernel here is the array transliteration of one object-path inner
-loop (:mod:`repro.core.sweep`, :meth:`SliceBRS._cut_into_slices`).  The
-shared primitive is :func:`grouped_sweep`: events are concatenated into
-flat arrays, stably sorted, grouped into coordinate batches with
-``reduceat``, and the per-batch aggregates the object sweeps maintain
-incrementally (had-insert / has-remove flags, active weight) fall out of
+loop (:mod:`repro.core.sweep`, including
+:func:`~repro.core.sweep.cut_into_slices`).  The shared primitive is
+:func:`grouped_sweep`: events are concatenated into flat arrays, stably
+sorted, grouped into coordinate batches with ``reduceat``, and the
+per-batch aggregates the object sweeps maintain incrementally
+(had-insert / has-remove flags, active weight) fall out of
 ``np.logical_or.reduceat`` + ``np.cumsum`` — no per-event Python loop.
 
-The trigger rule is identical to the object sweeps: the open interval
+The trigger rule is identical to the object sweeps: the interval
 between batch ``k`` and batch ``k + 1`` is emitted when batch ``k``
 contained insertions and batch ``k + 1`` contains removals, with the
 active weight *after* batch ``k`` as the interval's (sound) upper bound.
@@ -28,6 +29,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from repro.core.siri import band_ends
 from repro.runtime.errors import InvalidQueryError
 
 
@@ -39,7 +41,7 @@ class SweepBatches(NamedTuple):
         has_insert: whether the batch contains at least one insertion.
         has_remove: whether the batch contains at least one removal.
         active_after: total active weight after applying the batch — the
-            weight alive in the open interval ``(coords[k], coords[k+1])``.
+            weight alive from ``coords[k]`` up to ``coords[k+1]``.
     """
 
     coords: np.ndarray
@@ -49,7 +51,7 @@ class SweepBatches(NamedTuple):
 
 
 class SlabSet(NamedTuple):
-    """Maximal open intervals emitted by a sweep, with upper bounds.
+    """Maximal intervals emitted by a sweep, with upper bounds.
 
     Attributes:
         lo: interval lower coordinates.
@@ -80,14 +82,14 @@ def validate_extent(a: float, b: float) -> None:
 def siri_intervals(
     centers: np.ndarray, extent: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One axis of the SIRI reduction: centers -> (lo, hi) edge arrays.
+    """One axis of the SIRI reduction: centers -> half-open (lo, hi) arrays.
 
-    ``lo = centers - extent / 2`` and ``hi = centers + extent / 2``, the
-    same arithmetic as :func:`repro.core.siri.build_siri_rows`, so edge
+    :func:`repro.core.siri.band_ends`, the same intervals as
+    :func:`repro.core.siri.build_sweep_rows`: ``lo <= c < hi`` holds
+    exactly when the region at ``c`` holds the object, and edge
     coordinates (and their exact float ties) match the object path.
     """
-    half = extent / 2.0
-    return centers - half, centers + half
+    return band_ends(centers, extent / 2.0)
 
 
 def grouped_sweep(
@@ -138,7 +140,7 @@ def maximal_intervals(
 ) -> SlabSet:
     """Vectorized *ScanSlab* / *SearchMR* trigger over one axis.
 
-    Returns every open interval ``(coords[k], coords[k+1])`` where batch
+    Returns every interval from ``coords[k]`` to ``coords[k+1]`` where batch
     ``k`` had an insertion and batch ``k + 1`` has a removal — the maximal
     slabs of Definition 6 when swept in y, the candidate x-gaps of
     *SearchMR* when swept in x — with the active weight as bound.
@@ -159,7 +161,7 @@ def maximal_intervals(
 def spanning_mask(
     y_min: np.ndarray, y_max: np.ndarray, slab_lo: float, slab_hi: float
 ) -> np.ndarray:
-    """Rows whose y-extent covers the (open) slab interior.
+    """Rows whose y-extent covers the slab.
 
     The array form of :func:`repro.core.sweep.rows_spanning_slab`: a
     maximal slab contains no horizontal edge, so intersecting its interior
@@ -168,24 +170,12 @@ def spanning_mask(
     return (y_min <= slab_lo) & (y_max >= slab_hi)
 
 
-def ids_active_at(
-    lo: np.ndarray, hi: np.ndarray, coord: float
-) -> np.ndarray:
-    """Indices of the intervals whose *open* interior contains ``coord``.
-
-    Used with a gap midpoint: no event coordinate lies strictly inside a
-    gap, so the intervals strictly containing the midpoint are exactly the
-    sweep's active set in that gap.
-    """
-    return np.flatnonzero((lo < coord) & (hi > coord))
-
-
 class SliceAssignment(NamedTuple):
     """Rows replicated into the vertical slices they intersect.
 
     Rows are ordered by slice (ascending), preserving input row order
     within each slice — the same per-bucket order the object path's
-    ``_cut_into_slices`` produces.
+    ``cut_into_slices`` produces.
 
     Attributes:
         row_ids: original row index of each replica.
@@ -213,8 +203,10 @@ def assign_slices(
 
     Replicates each row into every slice of the ``width``-wide grid it
     intersects, clips the replica in x, and drops zero-width clippings —
-    the exact arithmetic of ``SliceBRS._cut_into_slices`` (grid origin at
-    the minimum left edge, ``//`` binning, clip to ``[0, n_slices - 1]``).
+    the exact arithmetic of :func:`repro.core.sweep.cut_into_slices` (grid
+    origin at the minimum left edge, slice ``i`` from ``x0 + i * width``
+    to ``x0 + (i + 1) * width``, ``//`` binning settled against those
+    bounds, clip to ``[0, n_slices - 1]``).
 
     Raises:
         InvalidQueryError: when ``width`` is not positive and finite.
@@ -226,9 +218,14 @@ def assign_slices(
     x_lo = float(x_min.min())
     x_hi = float(x_max.max())
     n_slices = max(1, math.ceil((x_hi - x_lo) / width))
+    while x_lo + n_slices * width < x_hi:
+        n_slices += 1
+    top = n_slices - 1
 
-    first = np.clip(((x_min - x_lo) // width).astype(np.int64), 0, n_slices - 1)
-    last = np.clip(((x_max - x_lo) // width).astype(np.int64), 0, n_slices - 1)
+    first = np.clip(((x_min - x_lo) // width).astype(np.int64), 0, top)
+    last = np.clip(((x_max - x_lo) // width).astype(np.int64), 0, top)
+    first -= (first > 0) & (x_min < x_lo + first * width)
+    last += (last < top) & (x_max > x_lo + (last + 1) * width)
     counts = last - first + 1
     total = int(counts.sum())
 
@@ -238,9 +235,8 @@ def assign_slices(
     slice_ids = np.repeat(first, counts) + (
         np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     )
-    s_lo = x_lo + slice_ids * width
-    clipped_lo = np.maximum(x_min[row_ids], s_lo)
-    clipped_hi = np.minimum(x_max[row_ids], s_lo + width)
+    clipped_lo = np.maximum(x_min[row_ids], x_lo + slice_ids * width)
+    clipped_hi = np.minimum(x_max[row_ids], x_lo + (slice_ids + 1) * width)
 
     keep = clipped_lo < clipped_hi
     row_ids = row_ids[keep]

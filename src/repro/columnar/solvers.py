@@ -26,6 +26,7 @@ rounding otherwise.
 from __future__ import annotations
 
 import time
+from collections import abc
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -33,13 +34,13 @@ import numpy as np
 from repro.columnar.dataset import ColumnarDataset, as_columnar
 from repro.columnar.kernels import (
     assign_slices,
-    ids_active_at,
     maximal_intervals,
     siri_intervals,
     spanning_mask,
     validate_extent,
 )
 from repro.core.result import BRSResult
+from repro.core.siri import cell_center
 from repro.core.stats import SearchStats
 from repro.functions.base import SetFunction
 from repro.functions.weighted_sum import SumFunction
@@ -233,12 +234,18 @@ def columnar_slicebrs(
                         if n_gaps == 0:
                             continue
                         top = int(np.argmax(gaps.bound))
-                        mx = (float(gaps.lo[top]) + float(gaps.hi[top])) / 2.0
-                        member_ids = rid[span][ids_active_at(gx_lo, gx_hi, mx)]
+                        g_lo = float(gaps.lo[top])
+                        g_hi = float(gaps.hi[top])
+                        member_ids = rid[span][
+                            spanning_mask(gx_lo, gx_hi, g_lo, g_hi)
+                        ]
                         exact = _exact_value(f, member_ids)
                         if exact > best_value:
                             best_value = exact
-                            best_point = Point(mx, (slab_lo + slab_hi) / 2.0)
+                            best_point = Point(
+                                cell_center(g_lo, g_hi),
+                                cell_center(slab_lo, slab_hi),
+                            )
                 else:
                     # Exhausted without a prune stop: nothing unexplored.
                     remaining_upper = 0.0
@@ -325,9 +332,11 @@ def columnar_best_region(
 
     Modular (:class:`SumFunction`) scores run :func:`columnar_slicebrs`;
     any other score function falls back to the object-path
-    :class:`~repro.core.slicebrs.SliceBRS` on the dataset's materialized
-    points (counted by ``brs_columnar_fallbacks_total``), so callers can
-    use this entry point unconditionally.
+    :class:`~repro.core.slicebrs.SliceBRS` (counted by
+    ``brs_columnar_fallbacks_total``), so callers can use this entry
+    point unconditionally.  The fallback solves the caller's own point
+    list when there is one (a point sequence, or a dataset's ``points``
+    list); other inputs are solved on their columns' points.
     """
     if isinstance(f, SumFunction):
         return columnar_slicebrs(
@@ -341,7 +350,17 @@ def columnar_best_region(
         ).inc()
     from repro.core.slicebrs import SliceBRS
 
-    ds = as_columnar(data)
     return SliceBRS(theta=theta).solve(
-        ds.points(), f, a, b, initial_best=initial_best, budget=budget
+        _object_points(data), f, a, b,
+        initial_best=initial_best, budget=budget,
     )
+
+
+def _object_points(data: Any) -> Sequence[Point]:
+    """The points behind solver input, materialized only when it has none."""
+    if isinstance(data, abc.Sequence):
+        return data
+    points = getattr(data, "points", None)
+    if isinstance(points, abc.Sequence):
+        return points
+    return as_columnar(data).points()

@@ -24,12 +24,17 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.result import BRSResult
-from repro.core.siri import RectRow, build_siri_rows, objects_in_region
+from repro.core.siri import (
+    RectRow,
+    build_sweep_rows,
+    cell_center,
+    objects_in_region,
+)
 from repro.core.stats import SearchStats
-from repro.core.sweep import Slab, scan_slabs
+from repro.core.sweep import Slab, cut_into_slices, scan_slabs
 from repro.functions.weighted_sum import SumFunction
 from repro.geometry.point import Point
 from repro.index.segment_tree import MaxAddSegmentTree
@@ -48,7 +53,10 @@ def _oe_sweep(
     Returns the best stabbing weight strictly above ``best_value`` together
     with a point achieving it, or ``(best_value, None)``.  This is the
     shared kernel of :func:`oe_maxrs` (whole space) and the per-slice step
-    of :func:`slicebrs_maxrs`.
+    of :func:`slicebrs_maxrs`.  On the half-open rows of
+    :func:`~repro.core.siri.build_sweep_rows` every leaf cell holds a
+    center (:func:`~repro.core.siri.cell_center`) whose region holds
+    exactly the rows covering the cell.
     """
     if not rows:
         return best_value, None
@@ -81,13 +89,14 @@ def _oe_sweep(
                 had_insert = True
             i += 1
         # The tree max can only set a new record right after insertions; a
-        # record's y is any point strictly between this event and the next.
+        # record's y is any center from this event up to the next.
         if had_insert and i < n:
             value, leaf = tree.max_with_index()
             if value > best_value:
                 best_value = value
                 best_point = Point(
-                    (xs[leaf] + xs[leaf + 1]) / 2.0, (y + events[i][0]) / 2.0
+                    cell_center(xs[leaf], xs[leaf + 1]),
+                    cell_center(y, events[i][0]),
                 )
     registry = active_registry()
     if registry.enabled:
@@ -119,7 +128,7 @@ def oe_maxrs(
             negative weight.
     """
     fn = SumFunction(len(points), weights)
-    rows = build_siri_rows(points, a, b)
+    rows = build_sweep_rows(points, a, b)
     with active_tracer().span("maxrs.oe_sweep", n_objects=len(points)):
         best_value, best_point = _oe_sweep(rows, fn.weight_of, 0.0)
     if best_point is None:
@@ -154,31 +163,12 @@ def slicebrs_maxrs(
     if theta <= 0:
         raise InvalidQueryError("theta must be positive")
     fn = SumFunction(len(points), weights)
-    rows = build_siri_rows(points, a, b)
+    rows = build_sweep_rows(points, a, b)
     evaluator = fn.evaluator()
     stats = SearchStats(n_objects=len(points))
 
     # The same slicing rule as SliceBRS: width theta * b, rows clipped in x.
-    x_lo = min(r[0] for r in rows)
-    x_hi = max(r[1] for r in rows)
-    width = theta * b
-    n_slices = max(1, math.ceil((x_hi - x_lo) / width))
-    buckets: Dict[int, List[RectRow]] = {}
-    for row in rows:
-        first = max(0, min(int((row[0] - x_lo) // width), n_slices - 1))
-        last = max(0, min(int((row[1] - x_lo) // width), n_slices - 1))
-        for idx in range(first, last + 1):
-            s_lo = x_lo + idx * width
-            clipped = (
-                max(row[0], s_lo),
-                min(row[1], s_lo + width),
-                row[2],
-                row[3],
-                row[4],
-            )
-            if clipped[0] < clipped[1]:
-                buckets.setdefault(idx, []).append(clipped)
-    slices = [buckets[k] for k in sorted(buckets)]
+    slices = cut_into_slices(rows, theta * b)
     stats.n_slices = len(slices)
 
     heap: List[Tuple[float, int, List[RectRow]]] = []

@@ -1,13 +1,15 @@
 """Brute-force exact BRS solver (ground truth for tests).
 
-Enumerates one interior point per cell of the SIRI-rectangle arrangement:
-the candidate grid is the cross product of x-gap midpoints and y-gap
-midpoints between consecutive distinct edge coordinates.  Every cell of the
-arrangement contains at least one such grid point (the global edge
-coordinates refine every cell boundary), so by Lemma 2 the enumeration is
-exhaustive.  Cost is O(n^2) evaluations of ``f`` — usable only for small
-instances, which is exactly its job: an independent oracle the fast solvers
-are tested against.
+Enumerates one center per cell of the SIRI-rectangle arrangement: the
+candidate grid is the cross product of the x-gap and y-gap centers
+(:func:`~repro.core.siri.cell_center`) between consecutive distinct edge
+coordinates of the half-open rows (:func:`~repro.core.siri.build_sweep_rows`).
+Every cell of the arrangement contains at least one such grid point (the
+global edge coordinates refine every cell boundary), and every float center
+lies in one cell, so by Lemma 2 the enumeration is exhaustive.  Cost is
+O(n^2) evaluations of ``f`` — usable only for small instances, which is
+exactly its job: an independent oracle the fast solvers are tested
+against.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.core.result import BRSResult
-from repro.core.siri import build_siri_rows, objects_in_region
+from repro.core.siri import build_sweep_rows, cell_center, objects_in_region
 from repro.core.stats import SearchStats
 from repro.functions.base import SetFunction
 from repro.geometry.point import Point
@@ -26,12 +28,10 @@ from repro.runtime.budget import Budget, effective_budget
 from repro.runtime.errors import BudgetExceededError
 
 
-def _gap_midpoints(coords: List[float]) -> List[float]:
-    """Midpoints of the open gaps between consecutive distinct coordinates."""
+def _gap_centers(coords: List[float]) -> List[float]:
+    """Centers of the half-open gaps between consecutive distinct coordinates."""
     distinct = sorted(set(coords))
-    return [
-        (lo + hi) / 2.0 for lo, hi in zip(distinct, distinct[1:])
-    ]
+    return [cell_center(lo, hi) for lo, hi in zip(distinct, distinct[1:])]
 
 
 class NaiveBRS:
@@ -67,9 +67,9 @@ class NaiveBRS:
         tracer = active_tracer()
         registry = active_registry()
         start_time = time.perf_counter()
-        rows = build_siri_rows(points, a, b)
-        xs = _gap_midpoints([r[0] for r in rows] + [r[1] for r in rows])
-        ys = _gap_midpoints([r[2] for r in rows] + [r[3] for r in rows])
+        rows = build_sweep_rows(points, a, b)
+        xs = _gap_centers([r[0] for r in rows] + [r[1] for r in rows])
+        ys = _gap_centers([r[2] for r in rows] + [r[3] for r in rows])
 
         # Candidate rows play the role of slices; the alive-set rebuild per
         # row is the sweep work ("pushes") this solver performs.
@@ -82,11 +82,11 @@ class NaiveBRS:
                 for y in ys:
                     # Objects whose rectangle spans this y — only their
                     # x-intervals matter along the row of candidates.
-                    alive = [r for r in rows if r[2] < y < r[3]]
+                    alive = [r for r in rows if r[2] <= y < r[3]]
                     stats.n_slices_scanned += 1
                     stats.n_pushes += len(alive)
                     for x in xs:
-                        ids = [r[4] for r in alive if r[0] < x < r[1]]
+                        ids = [r[4] for r in alive if r[0] <= x < r[1]]
                         stats.n_candidates += 1
                         if budget is not None:
                             budget.charge()

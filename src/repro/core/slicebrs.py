@@ -30,12 +30,17 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.result import BRSResult
-from repro.core.siri import RectRow, build_siri_rows, objects_in_region, rows_x_extent
+from repro.core.siri import RectRow, build_sweep_rows, objects_in_region
 from repro.core.stats import SearchStats
-from repro.core.sweep import rows_spanning_slab, scan_slabs, search_slab
+from repro.core.sweep import (
+    cut_into_slices,
+    rows_spanning_slab,
+    scan_slabs,
+    search_slab,
+)
 from repro.functions.base import SetFunction
 from repro.functions.validate import check_submodular_monotone
 from repro.geometry.point import Point
@@ -167,7 +172,7 @@ class SliceBRS:
         tracer,
     ) -> BRSResult:
         """The search itself, inside the ``slicebrs.solve`` span."""
-        rows = build_siri_rows(points, a, b)
+        rows = build_sweep_rows(points, a, b)
         if self.validate:
             sample = list(range(0, len(points), max(1, len(points) // 16)))
             check_submodular_monotone(f, sample)
@@ -326,22 +331,4 @@ class SliceBRS:
         """
         if not self.slicing:
             return [list(rows)]
-        x_lo, x_hi = rows_x_extent(rows)
-        width = self.theta * b
-        n_slices = max(1, math.ceil((x_hi - x_lo) / width))
-        buckets: Dict[int, List[RectRow]] = {}
-        for row in rows:
-            first = int((row[0] - x_lo) // width)
-            last = int((row[1] - x_lo) // width)
-            first = max(0, min(first, n_slices - 1))
-            last = max(0, min(last, n_slices - 1))
-            for idx in range(first, last + 1):
-                s_lo = x_lo + idx * width
-                s_hi = s_lo + width
-                clipped_lo = max(row[0], s_lo)
-                clipped_hi = min(row[1], s_hi)
-                if clipped_lo < clipped_hi:  # skip zero-width clippings
-                    buckets.setdefault(idx, []).append(
-                        (clipped_lo, clipped_hi, row[2], row[3], row[4])
-                    )
-        return [buckets[idx] for idx in sorted(buckets)]
+        return cut_into_slices(rows, self.theta * b)

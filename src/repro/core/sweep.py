@@ -17,9 +17,10 @@ the trigger.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.siri import RectRow
+from repro.core.siri import RectRow, cell_center, rows_x_extent
 from repro.core.stats import SearchStats
 from repro.functions.base import IncrementalEvaluator
 from repro.geometry.point import Point
@@ -62,10 +63,13 @@ def scan_slabs(
 ) -> List[Slab]:
     """Sweep bottom-up and return the maximal slabs with upper bounds.
 
-    Implements Function *ScanSlab*: a maximal slab is the open y-interval
+    Implements Function *ScanSlab*: a maximal slab is the y-interval
     between a batch containing bottom edges and the next batch containing top
     edges (Definition 6); its upper bound is ``h`` of the rectangles active
-    inside it (Lemma 7), maintained incrementally.
+    inside it (Lemma 7), maintained incrementally.  The slab is
+    ``[y_lo, y_hi)`` on the half-open rows of
+    :func:`~repro.core.siri.build_sweep_rows` and ``(y_lo, y_hi)`` on open
+    ones; either way no edge lies inside it.
 
     Args:
         rows: the SIRI rectangles of one slice (already clipped in x).
@@ -108,7 +112,7 @@ def scan_slabs(
                     has_insert = True
                 i += 1
             if prev_had_insert and has_remove:
-                # The open interval (prev_y, y) is a maximal slab; the
+                # The interval from prev_y to y is a maximal slab; the
                 # evaluator currently holds exactly the rectangles
                 # spanning it.
                 if budget is not None:
@@ -131,10 +135,10 @@ def scan_slabs(
 
 
 def rows_spanning_slab(rows: Sequence[RectRow], slab: Slab) -> List[RectRow]:
-    """Return the rows whose y-extent covers the (open) slab interior.
+    """Return the rows whose y-extent covers the slab.
 
     A maximal slab contains no horizontal edge, so a rectangle intersecting
-    its interior necessarily spans it end to end.
+    it necessarily spans it end to end.
     """
     y_lo, y_hi, _ = slab
     return [row for row in rows if row[2] <= y_lo and row[3] >= y_hi]
@@ -152,8 +156,12 @@ def search_slab(
 
     Implements Function *SearchMR*: because every rectangle in ``rows`` spans
     the slab vertically, the affected set of a point in the slab depends only
-    on x, and candidate points are midpoints of the x-gaps at
-    insertion->removal transitions.
+    on x, and the candidates are the x-gaps at insertion->removal
+    transitions.  On the half-open rows of
+    :func:`~repro.core.siri.build_sweep_rows` a gap ``[x_lo, x_hi)`` and
+    the slab ``[y_lo, y_hi)`` always hold a center
+    (:func:`~repro.core.siri.cell_center`), and the region there holds
+    exactly the gap's active rows.
 
     Args:
         rows: rectangles spanning the slab (see :func:`rows_spanning_slab`).
@@ -175,7 +183,7 @@ def search_slab(
         EvaluationError: when the evaluator produces NaN.
     """
     y_lo, y_hi, _ = slab
-    mid_y = (y_lo + y_hi) / 2.0
+    center_y = cell_center(y_lo, y_hi)
 
     events: List[Tuple[float, int, int]] = []
     for row in rows:
@@ -209,7 +217,7 @@ def search_slab(
                 value = _checked(evaluator.value)
                 if value > best_value:
                     best_value = value
-                    best_point = Point((prev_x + x) / 2.0, mid_y)
+                    best_point = Point(cell_center(prev_x, x), center_y)
             for j in range(batch_start, i):
                 _, kind, obj_id = events[j]
                 if kind == _INSERT:
@@ -224,6 +232,44 @@ def search_slab(
         stats.n_candidates += n_candidates
         stats.n_pushes += len(rows)
     return best_value, best_point
+
+
+def cut_into_slices(
+    rows: Sequence[RectRow], width: float
+) -> List[List[RectRow]]:
+    """Assign each row to the ``width``-wide slices it meets, clipped in x.
+
+    Slice ``i`` is ``[x0 + i * width, x0 + (i + 1) * width)`` with ``x0``
+    the minimum left edge, so consecutive slices share one computed bound
+    and every center lies in exactly one slice; a row goes to every slice
+    its half-open x-interval meets.  The ``//`` binning can land one slice
+    off at a bound, so each row's first and last slice are settled against
+    the bounds themselves.
+
+    Returns:
+        The occupied slices in x order, rows in input order within each.
+    """
+    x0, x_end = rows_x_extent(rows)
+    n_slices = max(1, math.ceil((x_end - x0) / width))
+    while x0 + n_slices * width < x_end:
+        n_slices += 1
+    top = n_slices - 1
+    buckets: Dict[int, List[RectRow]] = {}
+    for row in rows:
+        first = max(0, min(int((row[0] - x0) // width), top))
+        last = max(0, min(int((row[1] - x0) // width), top))
+        if first > 0 and row[0] < x0 + first * width:
+            first -= 1
+        if last < top and row[1] > x0 + (last + 1) * width:
+            last += 1
+        for idx in range(first, last + 1):
+            clipped_lo = max(row[0], x0 + idx * width)
+            clipped_hi = min(row[1], x0 + (idx + 1) * width)
+            if clipped_lo < clipped_hi:  # skip zero-width clippings
+                buckets.setdefault(idx, []).append(
+                    (clipped_lo, clipped_hi, row[2], row[3], row[4])
+                )
+    return [buckets[idx] for idx in sorted(buckets)]
 
 
 def count_maximal_regions(

@@ -16,13 +16,13 @@ workload:
 * :mod:`repro.serve.admission` — bounded open-query count with explicit
   rejection (backpressure) instead of unbounded queueing.
 * :mod:`repro.serve.executor` — :class:`ServeEngine`, the worker pool
-  executing planned batches over the partitioned-solver shards with
+  executing planned batches, one exact solve per query, with
   per-request :class:`~repro.runtime.budget.Budget` deadlines and
   degraded anytime answers on expiry.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the stdlib-only
   HTTP front end (``repro serve``) and its JSON protocol client.
 * :mod:`repro.serve.solvecore` — :class:`QuerySolver`, the shared
-  solve-one-group core both front ends execute, with the degradation
+  solve-one-query core both front ends execute, with the degradation
   ladder (exact → cover → gridscan) the pressure monitor drives.
 * :mod:`repro.serve.tenancy` / :mod:`repro.serve.fairqueue` /
   :mod:`repro.serve.pressure` — per-tenant quotas and dataset allow

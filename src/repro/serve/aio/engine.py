@@ -44,9 +44,8 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.partitioned import Shard
 from repro.obs.export import to_prometheus_text
 from repro.obs.metrics import MetricsRegistry, histogram_quantile, metrics_scope
 from repro.obs.slo import SLOTracker, objective_for
@@ -77,7 +76,6 @@ class AsyncServeEngine:
         tenants: tenant policy registry; a permissive default registry
             (every id gets default weight/quota) when omitted.
         workers: solver threads (solves are CPU-bound and leave the loop).
-        shards: x-window count per solve.
         queue_capacity: global open-query ceiling; per-tenant quotas
             apply underneath it.
         batch_window: seconds the scheduler waits after a wake-up so
@@ -105,7 +103,6 @@ class AsyncServeEngine:
         cache: Optional[ResultCache] = None,
         tenants: Optional[TenantRegistry] = None,
         workers: int = 2,
-        shards: int = 4,
         queue_capacity: int = 64,
         batch_window: float = 0.005,
         max_dispatch: Optional[int] = None,
@@ -137,7 +134,6 @@ class AsyncServeEngine:
         self._queue = WeightedFairQueue(self.tenants.weights())
         self._pressure = PressureMonitor(pressure)
         self._solver = QuerySolver(
-            shards=shards,
             theta=theta,
             backend=backend,
             process_workers=process_workers,
@@ -572,23 +568,14 @@ class AsyncServeEngine:
                 size=len(group),
                 rung=rung,
             ):
-                try:
-                    shards = self._solver.plan(entry, key)
-                except ValueError as exc:
-                    for tenant, planned in group:
-                        self._fail(tenant, planned, str(exc))
-                    return
                 for tenant, planned in group:
-                    self._run_spec(
-                        tenant, planned, entry, shards, len(group), rung
-                    )
+                    self._run_spec(tenant, planned, entry, len(group), rung)
 
     def _run_spec(
         self,
         tenant: str,
         planned: PlannedQuery,
         entry: ServedDataset,
-        shards: Sequence[Shard],
         batch_size: int,
         rung: str,
     ) -> None:
@@ -620,7 +607,7 @@ class AsyncServeEngine:
                 )
             with span:
                 response = self._solver.solve(
-                    key, entry, shards, budget=planned.budget, rung=rung
+                    key, entry, budget=planned.budget, rung=rung
                 )
         except BRSError as exc:
             response = error_response(key, f"{type(exc).__name__}: {exc}")

@@ -1,4 +1,4 @@
-"""The serving engine: admission → cache → dedup → batch → shard execution.
+"""The serving engine: admission → cache → dedup → batch → exact solve.
 
 :class:`ServeEngine` is the in-process core the HTTP front end wraps.  A
 submitted request flows through the pipeline stages in order:
@@ -13,11 +13,11 @@ submitted request flows through the pipeline stages in order:
    explicit ``"rejected"`` response instead of an unbounded queue.
 5. **Batching** — a dispatcher thread collects queries admitted within
    one batch window and groups compatible ones (same dataset, version,
-   function, rectangle size); each group shares one shard plan, one
-   per-shard object extraction, and one approximate incumbent pass.
-6. **Execution** — a worker pool runs each group over the overlapping
-   x-window shards of :func:`repro.core.partitioned.plan_shards` with
-   :class:`~repro.runtime.budget.Budget` deadlines; on expiry the answer
+   function, rectangle size); each group shares one dataset resolve and
+   one worker dispatch.
+6. **Execution** — a worker pool runs each query of a group as one exact
+   solve (:class:`~repro.serve.solvecore.QuerySolver`) under its
+   :class:`~repro.runtime.budget.Budget` deadline; on expiry the answer
    degrades (anytime best-so-far, then a coarse grid scan) instead of
    overrunning.
 
@@ -33,9 +33,8 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.core.partitioned import Shard, plan_shards
 from repro.obs.metrics import (
     MetricsRegistry,
     histogram_quantile,
@@ -48,7 +47,7 @@ from repro.runtime.budget import Budget
 from repro.runtime.errors import AdmissionRejectedError, BRSError, InvalidQueryError
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import ResultCache
-from repro.serve.model import CacheKey, QueryRequest, QueryResponse, normalize_query
+from repro.serve.model import CacheKey, QueryRequest, QueryResponse
 from repro.serve.planner import BatchPlanner, PlannedQuery
 from repro.serve.solvecore import QuerySolver, error_response
 from repro.serve.store import DatasetStore, ServedDataset
@@ -67,8 +66,6 @@ class ServeEngine:
         cache: result cache to consult and fill; a fresh bounded LRU is
             created when omitted.
         workers: worker threads executing planned batches.
-        shards: x-window count per solve (see
-            :func:`repro.core.partitioned.plan_shards`).
         queue_capacity: maximum open (admitted, unanswered) queries;
             arrivals beyond it are rejected (backpressure).
         batch_window: seconds the dispatcher waits after a wake-up so
@@ -76,8 +73,8 @@ class ServeEngine:
         theta: slice-width multiple handed to the exact solver.
         default_timeout: per-request deadline applied when a request does
             not carry its own (``None`` = unlimited).
-        backend: ``"thread"`` (default) solves shards in the worker
-            thread; ``"process"`` routes unfocused queries on datasets of
+        backend: ``"thread"`` (default) solves in the worker thread;
+            ``"process"`` routes unfocused queries on datasets of
             at least ``process_threshold`` objects through the
             multiprocessing shard backend
             (:func:`repro.parallel.solve_partitioned`) — the right choice
@@ -103,7 +100,6 @@ class ServeEngine:
         store: DatasetStore,
         cache: Optional[ResultCache] = None,
         workers: int = 2,
-        shards: int = 4,
         queue_capacity: int = 64,
         batch_window: float = 0.005,
         theta: float = 1.0,
@@ -128,7 +124,6 @@ class ServeEngine:
         self._planner = BatchPlanner()
         self._admission = AdmissionController(queue_capacity)
         self._solver = QuerySolver(
-            shards=shards,
             theta=theta,
             backend=backend,
             process_workers=process_workers,
@@ -137,7 +132,6 @@ class ServeEngine:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="brs-serve"
         )
-        self._shards = shards
         self._batch_window = batch_window
         self._default_timeout = default_timeout
         self._wake = threading.Event()
@@ -179,13 +173,7 @@ class ServeEngine:
                 "brs_serve_requests_total", help="queries received"
             ).inc()
             entry = self.store.resolve(request.dataset)
-            if request.a is not None:
-                a, b = request.a, request.b
-            else:
-                a, b = entry.resolve_size(request.k, request.aspect)
-            key = normalize_query(
-                entry.id, entry.version, entry.fn_key, a, b, request.focus
-            )
+            key = QuerySolver.resolve_key(request, entry)
 
             cached = self.cache.get(key)
             if cached is not None:
@@ -358,7 +346,7 @@ class ServeEngine:
                 self._pool.submit(self._run_group, group)
 
     def _run_group(self, group: List[PlannedQuery]) -> None:
-        """Execute one compatibility group: shared plan, per-spec solves."""
+        """Execute one compatibility group: one resolve, per-spec solves."""
         with metrics_scope(self.registry), trace_scope(self._tracer):
             key = group[0].key
             try:
@@ -378,22 +366,13 @@ class ServeEngine:
             with self._tracer.span(
                 "serve.batch", dataset=key.dataset, a=key.a, b=key.b, size=len(group)
             ):
-                # Shared once per group: the shard plan for this rectangle
-                # width over the full dataset.  Focused members intersect it.
-                try:
-                    shards = plan_shards(entry.points, key.b, self._shards)
-                except ValueError as exc:
-                    for planned in group:
-                        self._fail(planned, str(exc))
-                    return
                 for planned in group:
-                    self._run_spec(planned, entry, shards, len(group))
+                    self._run_spec(planned, entry, len(group))
 
     def _run_spec(
         self,
         planned: PlannedQuery,
         entry: ServedDataset,
-        shards: Sequence[Shard],
         batch_size: int,
     ) -> None:
         """Solve one distinct query and resolve every request riding on it."""
@@ -421,7 +400,7 @@ class ServeEngine:
                     focused=key.focus is not None,
                 )
             with span:
-                response = self._solver.solve(key, entry, shards, planned.budget)
+                response = self._solver.solve(key, entry, planned.budget)
         except BRSError as exc:
             response = self._error_response(key, f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # pragma: no cover - defensive catch-all

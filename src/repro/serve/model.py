@@ -201,8 +201,8 @@ class CacheKey:
     def group_key(self) -> Tuple[str, int, str, float, float]:
         """Batch-compatibility key: same dataset, version, function, size.
 
-        Queries sharing a group key can share one shard plan and one
-        SIRI/slab setup per shard — they differ at most in focus.
+        Queries sharing a group key are dispatched together and share
+        one dataset resolve — they differ at most in focus.
         """
         return (self.dataset, self.version, self.fn_key, self.a, self.b)
 

@@ -7,9 +7,9 @@ Two normalization-aware optimizations sit between admission and execution:
   of creating new work.  N simultaneous identical queries cost one solve.
 * **Grouping.**  Pending queries with the same *group key* — dataset,
   version, function, quantized rectangle size — are dispatched together
-  as one batch, so the executor plans shards once, extracts per-shard
-  object subsets once, and computes one shared incumbent for the whole
-  group.  Group members differ at most in their focus rectangle.
+  as one batch: the group shares one dataset resolve and one worker
+  dispatch slot, and each member is then one exact solve.  Group members
+  differ at most in their focus rectangle.
 
 The planner is passive: the engine's dispatcher thread calls
 :meth:`BatchPlanner.drain` to collect pending work, and

@@ -124,7 +124,6 @@ def run_selfcheck(
         store,
         cache=ResultCache(max_entries=256),
         workers=2,
-        shards=4,
         queue_capacity=capacity,
         batch_window=0.01,
     )

@@ -9,13 +9,21 @@ nothing to do with threads or event loops: given a normalized
 threaded engine (:class:`~repro.serve.executor.ServeEngine`) and the
 asyncio engine (:class:`~repro.serve.aio.engine.AsyncServeEngine`) run
 byte-identical solves — the differential acceptance suite pins exactly
-that property.
+that property.  The engines dispatch compatible queries (same dataset,
+version, function and rectangle size) as one group; a group shares one
+dataset resolve and one dispatch slot, and each of its queries is one
+:meth:`QuerySolver.solve` call.
 
 The solver exposes the runtime ladder as explicit *rungs* so a serve
 tier can shed load by answer quality, not just by deadline:
 
-* :data:`RUNG_EXACT` — CoverBRS incumbent seeding plus one SliceBRS pass
-  per shard (the exact contract; degrades on budget expiry as before).
+* :data:`RUNG_EXACT` — one exact solve of the focus-restricted candidates
+  through :func:`~repro.columnar.solvers.columnar_best_region`: the
+  vectorized SliceBRS kernel for SUM scores, object-path SliceBRS for
+  coverage and influence.  SliceBRS's own best-first slice and slab order
+  does the pruning, so no incumbent pass or x-window split precedes it.
+  On budget expiry the anytime answer is merged with a grid scan and the
+  tighter of the two sound upper bounds is reported.
 * :data:`RUNG_COVER` — one CoverBRS(c=1/3) pass; the (1-c)-style cover
   guarantee certifies ``optimum <= score / guarantee``, so the degraded
   response still carries a sound quality bound.
@@ -33,15 +41,13 @@ the call in its own ``metrics_scope`` owns the counters.
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from repro.columnar.solvers import columnar_best_region
 from repro.core.coverbrs import CoverBRS
 from repro.core.gridscan import coarse_grid_scan
-from repro.core.partitioned import Shard, plan_shards
 from repro.core.result import BRSResult
 from repro.core.siri import objects_in_region
-from repro.core.slicebrs import SliceBRS
 from repro.functions.base import SetFunction
 from repro.functions.reduced import reduce_over_cover
 from repro.geometry.point import Point
@@ -57,7 +63,7 @@ from repro.serve.model import (
 )
 from repro.serve.store import ServedDataset
 
-#: Full-quality rung: the exact-over-shards contract.
+#: Full-quality rung: one exact solve per query.
 RUNG_EXACT = "exact"
 #: First shedding rung: a certified cover approximation.
 RUNG_COVER = "cover"
@@ -78,62 +84,53 @@ class QuerySolver:
     worker threads and engines.
 
     Args:
-        shards: x-window count per solve (see
-            :func:`repro.core.partitioned.plan_shards`).
         theta: slice-width multiple handed to the exact solver.
-        backend: ``"thread"`` solves shards in the calling thread;
-            ``"process"`` routes large unfocused queries through the
-            multiprocessing shard backend.
+        backend: ``"thread"`` solves in the calling thread; ``"process"``
+            routes large unfocused queries through the multiprocessing
+            shard backend (:func:`repro.parallel.solve_partitioned` with
+            its default window count).
         process_workers: pool size for the ``"process"`` backend.
         process_threshold: minimum object count before the ``"process"``
             backend engages.
 
     Raises:
-        ValueError: on a non-positive shard count or an unknown backend.
+        ValueError: on an unknown backend or a non-positive pool size.
     """
 
     def __init__(
         self,
-        shards: int = 4,
         theta: float = 1.0,
         backend: str = "thread",
         process_workers: int = 2,
         process_threshold: int = 10_000,
     ) -> None:
-        if shards <= 0:
-            raise ValueError(f"shards must be positive, got {shards}")
         if backend not in ("thread", "process"):
             raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
         if process_workers <= 0:
             raise ValueError(
                 f"process_workers must be positive, got {process_workers}"
             )
-        self.shards = shards
         self.theta = theta
         self.backend = backend
         self.process_workers = process_workers
         self.process_threshold = process_threshold
 
-    # -- planning --------------------------------------------------------
-
-    def plan(self, entry: ServedDataset, key: CacheKey) -> List[Shard]:
-        """One shard plan for ``key``'s rectangle width over ``entry``.
-
-        Raises:
-            ValueError: when the rectangle cannot be planned (degenerate
-                width against the dataset extent).
-        """
-        return list(plan_shards(entry.points, key.b, self.shards))
+    # -- normalization ---------------------------------------------------
 
     @staticmethod
     def resolve_key(request: QueryRequest, entry: ServedDataset) -> CacheKey:
         """Normalize a validated request against its resolved entry.
 
+        Both engines call this at submit, so a client error surfaces there
+        as :class:`InvalidQueryError` (HTTP 400) before anything is queued
+        or recorded against the SLO.
+
         Raises:
             InvalidQueryError: on a request carrying neither an explicit
                 rectangle nor a ``k`` scale (``validated()`` rejects
                 these, but the contract is restated here for callers
-                normalizing un-validated requests).
+                normalizing un-validated requests), or on a focus window
+                that holds no objects.
         """
         if request.a is not None and request.b is not None:
             a, b = float(request.a), float(request.b)
@@ -141,9 +138,12 @@ class QuerySolver:
             a, b = entry.resolve_size(request.k, request.aspect)
         else:
             raise InvalidQueryError("request needs a rectangle: a/b or k")
-        return normalize_query(
+        key = normalize_query(
             entry.id, entry.version, entry.fn_key, a, b, request.focus
         )
+        if key.focus is not None and entry.columns().count_in_rect(*key.focus) == 0:
+            raise InvalidQueryError("focus region contains no objects")
+        return key
 
     # -- solving ---------------------------------------------------------
 
@@ -151,20 +151,18 @@ class QuerySolver:
         self,
         key: CacheKey,
         entry: ServedDataset,
-        shards: Sequence[Shard],
-        budget: Optional[Budget],
+        budget: Optional[Budget] = None,
         rung: str = RUNG_EXACT,
     ) -> QueryResponse:
         """Solve one normalized query at ``rung`` quality.
 
-        The exact rung preserves the historical engine behavior
-        (anytime degradation on budget expiry included); the shedding
-        rungs return ``status="degraded"`` answers whose ``upper_bound``
+        The exact rung degrades on budget expiry (anytime answer merged
+        with a grid scan); the shedding rungs return ``status="degraded"``
+        answers.  Every non-exact answer carries an ``upper_bound`` that
         soundly caps the optimum.
 
         Raises:
-            InvalidQueryError: on a focus region with no objects, or an
-                unknown rung.
+            InvalidQueryError: on an unknown rung.
             BRSError: solver-level failures propagate to the engine's
                 error envelope.
         """
@@ -188,22 +186,14 @@ class QuerySolver:
             cand_ids: Optional[List[int]] = None
             cand_points: Sequence[Point] = points
             cand_fn: SetFunction = fn
-            local_shards = [list(shard.object_ids) for shard in shards]
         else:
-            x_min, x_max, y_min, y_max = key.focus
-            cand_ids = [
-                i for i, p in enumerate(points)
-                if x_min < p.x < x_max and y_min < p.y < y_max
-            ]
+            cand_ids = list(_in_focus(points, key.focus))
             if not cand_ids:
-                return error_response(key, "focus region contains no objects")
-            local_of = {g: l for l, g in enumerate(cand_ids)}
+                # Submit rejects an empty window; an ingest flip emptied
+                # this one since.  Nothing scores above f of no objects.
+                return _empty_response(key, fn)
             cand_points = [points[i] for i in cand_ids]
             cand_fn = reduce_over_cover(fn, [[i] for i in cand_ids])
-            local_shards = [
-                [local_of[g] for g in shard.object_ids if g in local_of]
-                for shard in shards
-            ]
 
         a, b = key.a, key.b
         if rung == RUNG_COVER:
@@ -227,8 +217,8 @@ class QuerySolver:
 
         if budget is not None and budget.expired():
             # Past-deadline on arrival (or the queue ate the deadline):
-            # skip the exact machinery and return the cheapest anytime
-            # answer immediately.
+            # skip the exact solve and return the cheapest anytime answer
+            # immediately.
             grid = self._grid_fallback(cand_points, cand_fn, a, b, budget, 0.0)
             return self._response(
                 key, grid.point, grid.score, cand_points, cand_fn, cand_ids,
@@ -236,26 +226,35 @@ class QuerySolver:
                 external_ids=entry.external_ids,
             )
 
-        best_point, best_score, shard_bounds, timed_out = self._exact_over_shards(
-            cand_points, cand_fn, a, b, local_shards, budget
+        active_registry().counter(
+            "brs_serve_exact_solves_total",
+            help="exact-rung solves, one per query",
+        ).inc()
+        # Unfocused, the entry itself goes in, so a SUM score sweeps its
+        # cached columns instead of transposing the points per query.
+        exact = columnar_best_region(
+            entry if cand_ids is None else cand_points, cand_fn, a, b,
+            theta=self.theta, budget=budget,
         )
-        if not timed_out:
+        if exact.status == "ok":
             return self._response(
-                key, best_point, best_score, cand_points, cand_fn, cand_ids,
+                key, exact.point, exact.score, cand_points, cand_fn, cand_ids,
                 solver_status="ok", upper_bound=None,
                 external_ids=entry.external_ids,
             )
 
-        grid = self._grid_fallback(cand_points, cand_fn, a, b, budget, best_score)
-        if grid.score > best_score:
-            best_point, best_score = grid.point, grid.score
+        grid = self._grid_fallback(cand_points, cand_fn, a, b, budget, exact.score)
+        best = grid if grid.score > exact.score else exact
         # Both bounds cap the same optimum; keep the tighter one.
-        shard_upper = max([best_score] + shard_bounds)
-        upper = min(shard_upper, grid.upper_bound or shard_upper)
+        upper = exact.upper_bound
+        if upper is None:
+            upper = cand_fn.value(range(len(cand_points)))
+        if grid.upper_bound is not None:
+            upper = min(upper, grid.upper_bound)
         return self._response(
-            key, best_point, best_score, cand_points, cand_fn, cand_ids,
+            key, best.point, best.score, cand_points, cand_fn, cand_ids,
             solver_status="degraded" if grid.status == "degraded" else "timeout",
-            upper_bound=max(upper, best_score),
+            upper_bound=max(upper, best.score),
             external_ids=entry.external_ids,
         )
 
@@ -310,13 +309,12 @@ class QuerySolver:
         """Route one unfocused query through the multiprocessing backend.
 
         Returns ``None`` when the dataset's function cannot cross a
-        process boundary, so the caller falls back to the in-thread
-        shard loop instead of failing the query.
+        process boundary, so the caller falls back to the in-thread exact
+        solve instead of failing the query.
         """
         try:
             result = solve_partitioned(
-                entry.points, entry.fn, key.a, key.b,
-                n_parts=self.shards, theta=self.theta,
+                entry.points, entry.fn, key.a, key.b, theta=self.theta,
                 workers=self.process_workers, budget=budget,
             )
         except InvalidQueryError:
@@ -330,76 +328,6 @@ class QuerySolver:
             solver_status=result.status, upper_bound=result.upper_bound,
             external_ids=entry.external_ids,
         )
-
-    def _exact_over_shards(
-        self,
-        cand_points: Sequence[Point],
-        cand_fn: SetFunction,
-        a: float,
-        b: float,
-        local_shards: Sequence[Sequence[int]],
-        budget: Optional[Budget],
-    ) -> Tuple[Optional[Point], float, List[float], bool]:
-        """One SliceBRS pass per shard, sharing one incumbent and budget.
-
-        Returns ``(best_point, best_score, sound_bounds, timed_out)`` where
-        ``sound_bounds`` carries an upper bound for every shard that was
-        not searched to completion.
-        """
-        registry = active_registry()
-        best_point: Optional[Point] = None
-        best_score = 0.0
-        timed_out = False
-        bounds: List[float] = []
-
-        # One cheap approximate pass seeds every shard's pruning bound.
-        try:
-            incumbent = CoverBRS(c=_SHED_COVER_C, theta=self.theta).solve(
-                cand_points, cand_fn, a, b,
-                budget=budget.sub(time_fraction=0.25, eval_fraction=0.25)
-                if budget is not None else None,
-            )
-            best_point, best_score = incumbent.point, incumbent.score
-            if incumbent.status != "ok":
-                timed_out = True
-        except BudgetExceededError:
-            timed_out = True
-
-        solver = SliceBRS(theta=self.theta)
-        for ids in local_shards:
-            if not ids:
-                continue
-            if budget is not None and budget.expired():
-                timed_out = True
-                # Monotone bound for the shard we cannot afford to search.
-                bounds.append(cand_fn.value(ids))
-                continue
-            sub_points = [cand_points[i] for i in ids]
-            sub_f = reduce_over_cover(cand_fn, [[i] for i in ids])
-            registry.counter(
-                "brs_serve_exact_solves_total",
-                help="per-shard exact solver invocations",
-            ).inc()
-            try:
-                res = solver.solve(
-                    sub_points, sub_f, a, b,
-                    initial_best=best_score, budget=budget,
-                )
-            except BudgetExceededError:
-                timed_out = True
-                bounds.append(cand_fn.value(ids))
-                continue
-            if res.status != "ok":
-                timed_out = True
-                bounds.append(
-                    res.upper_bound
-                    if res.upper_bound is not None
-                    else cand_fn.value(ids)
-                )
-            if res.score > best_score:
-                best_score = res.score
-                best_point = Point(res.point.x, res.point.y)
-        return best_point, best_score, bounds, timed_out
 
     @staticmethod
     def _grid_fallback(
@@ -477,15 +405,28 @@ def error_response(key: CacheKey, message: str) -> QueryResponse:
     )
 
 
-def timed_solve(
-    solver: QuerySolver,
-    key: CacheKey,
-    entry: ServedDataset,
-    shards: Sequence[Shard],
-    budget: Optional[Budget],
-    rung: str = RUNG_EXACT,
-) -> Tuple[QueryResponse, float]:
-    """Solve and return ``(response, wall_seconds)`` (envelope helper)."""
-    start = time.perf_counter()
-    response = solver.solve(key, entry, shards, budget, rung=rung)
-    return response, time.perf_counter() - start
+def _in_focus(
+    points: Sequence[Point], focus: Tuple[float, float, float, float]
+) -> Iterator[int]:
+    """Positions of the objects strictly inside ``focus``, in order."""
+    x_min, x_max, y_min, y_max = focus
+    return (
+        i for i, p in enumerate(points)
+        if x_min < p.x < x_max and y_min < p.y < y_max
+    )
+
+
+def _empty_response(key: CacheKey, fn: SetFunction) -> QueryResponse:
+    """The exact answer over a focus window that holds no objects."""
+    assert key.focus is not None
+    x_min, x_max, y_min, y_max = key.focus
+    return QueryResponse(
+        status="ok",
+        dataset=key.dataset,
+        version=key.version,
+        a=key.a,
+        b=key.b,
+        center=((x_min + x_max) / 2.0, (y_min + y_max) / 2.0),
+        score=fn.value(()),
+        solver_status="ok",
+    )

@@ -69,6 +69,11 @@ class ServedDataset:
             is an ingest snapshot (``None`` means positions *are* the
             ids).  Responses report external ids, which survive the
             compaction each snapshot performs.
+        base_count: object count of the last full version (registration
+            or :meth:`DatasetStore.replace_points`); ``k*q`` requests size
+            against it, so an ingest flip that changes the live count
+            keeps their rectangle and cache key.  Defaults to the entry's
+            own count.
     """
 
     id: str
@@ -80,8 +85,13 @@ class ServedDataset:
     kind: str = "custom"
     mutation_seq: int = 0
     external_ids: Optional[List[int]] = None
+    base_count: int = 0
     _columns: Optional[Any] = None
     _columns_key: Optional[Tuple[int, int]] = None
+
+    def __post_init__(self) -> None:
+        if not self.base_count:
+            self.base_count = len(self.points)
 
     def columns(self):
         """The entry's coordinate columns, cached per (version, mutation_seq).
@@ -107,8 +117,12 @@ class ServedDataset:
     def resolve_size(
         self, k: float, aspect: Optional[float] = None
     ) -> Tuple[float, float]:
-        """``(a, b)`` for a ``k*q`` query on this dataset (Section 6.1)."""
-        return query_size(self.space, len(self.points), k, aspect)
+        """``(a, b)`` for a ``k*q`` query on this dataset (Section 6.1).
+
+        Sized against :attr:`base_count`, so the answer changes only on a
+        full version, never on an ingest flip.
+        """
+        return query_size(self.space, self.base_count, k, aspect)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-serializable summary for the datasets endpoint."""
@@ -285,6 +299,7 @@ class DatasetStore:
             kind=old.kind,
             mutation_seq=old.mutation_seq + 1,
             external_ids=list(external_ids),
+            base_count=old.base_count,
         )
         return self._install(entry, expect_new=False)
 

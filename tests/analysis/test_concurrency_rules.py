@@ -35,6 +35,8 @@ def run_tree(name):
         ("bad_aio_unbudgeted", ["BRS012"]),
         ("clean_aio_budgeted", []),
         ("annotated_ok", []),
+        ("bad_columnar_unbudgeted", ["BRS012"]),
+        ("clean_columnar_budgeted", []),
     ],
 )
 def test_rule_fires_and_stays_silent(tree, expected_rules):

@@ -229,6 +229,11 @@ class TestServeCommand:
         assert args.cache_entries == 2048
         assert args.default_timeout is None
 
+    def test_serve_has_no_shard_option(self):
+        """Each served query is one exact solve; there is nothing to split."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "f.json", "--shards", "4"])
+
     def test_serve_end_to_end(self, dataset_file):
         """`repro-brs serve` boots, answers a query over HTTP, shuts down."""
         import json

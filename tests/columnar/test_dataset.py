@@ -115,6 +115,13 @@ class TestSlabs:
                 pts, Point(cx, cy), a, b
             )
 
+    def test_ids_in_region_matches_object_path_at_a_band_edge(self):
+        # cx - b/2 rounds onto the object's x although abs(x - cx) < b/2.
+        x, half, cx = 1343.6424411240123, 847.4489935635389, 2191.091434687551
+        ds = ColumnarDataset.from_points([Point(x, 0.0)])
+        assert objects_in_region(ds.points(), Point(cx, 0.0), 1.0, 2 * half) == [0]
+        assert ds.ids_in_region(cx, 0.0, 1.0, 2 * half) == [0]
+
     def test_count_in_rect_matches_brute_force(self):
         ds = _dataset()
         expected = sum(

@@ -106,6 +106,18 @@ class TestLiveFacade:
         points, _, _ = live.snapshot()
         assert [p.x for p in points] == list(fresh.xs)
 
+    def test_best_region_falls_back_on_live_columns(self):
+        """A coverage score on a live dataset solves its alive points."""
+        from repro.columnar.solvers import columnar_best_region
+        from repro.core.naive import NaiveBRS
+        from repro.ingest.live import live_from_diversity
+
+        live = live_from_diversity(meetup_like(n_objects=40, seed=2))
+        points, _, fn = live.snapshot()
+        got = columnar_best_region(live, fn, 2500.0, 2500.0)
+        assert got.status == "ok"
+        assert got.score == NaiveBRS().solve(points, fn, 2500.0, 2500.0).score
+
 
 class TestBatchValue:
     def _groups(self):

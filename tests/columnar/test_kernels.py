@@ -11,12 +11,13 @@ from repro.columnar.kernels import (
     assign_slices,
     grid_cells,
     grouped_sweep,
-    ids_active_at,
     maximal_intervals,
     siri_intervals,
     spanning_mask,
     validate_extent,
 )
+from repro.core.siri import build_sweep_rows
+from repro.geometry.point import Point
 from repro.runtime.errors import InvalidQueryError
 
 
@@ -39,8 +40,18 @@ def test_validate_extent_rejects_bad_rectangles():
 def test_siri_intervals_arithmetic_matches_object_path():
     centers = np.array([0.0, 1.5, -2.25])
     lo, hi = siri_intervals(centers, 3.0)
-    assert list(lo) == [c - 1.5 for c in centers]
-    assert list(hi) == [c + 1.5 for c in centers]
+    rows = build_sweep_rows([Point(c, 0.0) for c in centers], 1.0, 3.0)
+    assert list(lo) == [r[0] for r in rows]
+    assert list(hi) == [r[1] for r in rows]
+    # Half-open exact band ends: the first float past c - 1.5, and c + 1.5,
+    # except where a center just inside still rounds the difference to
+    # 1.5 and so leaves c out.
+    assert list(lo) == [
+        math.nextafter(-1.5, 0.0),
+        math.nextafter(2.0 ** -53, 1.0),
+        math.nextafter(-3.75, 0.0),
+    ]
+    assert list(hi) == [1.5, 3.0, math.nextafter(-0.75, -1.0)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -96,7 +107,7 @@ def test_maximal_interval_bounds_are_exact_active_weights(seed):
     slabs = maximal_intervals(lo, hi, w)
     for slab_lo, slab_hi, bound in zip(slabs.lo, slabs.hi, slabs.bound):
         mid = (slab_lo + slab_hi) / 2.0
-        active = ids_active_at(lo, hi, mid)
+        active = (lo < mid) & (hi > mid)
         assert bound == pytest.approx(float(w[active].sum()), abs=1e-9)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar.dataset import ColumnarDataset
-from repro.columnar.kernels import grouped_sweep, ids_active_at, maximal_intervals
+from repro.columnar.kernels import grouped_sweep, maximal_intervals
 from repro.core.siri import objects_in_region
 from repro.geometry.point import Point
 
@@ -79,7 +79,7 @@ def test_sweep_active_weight_matches_open_membership(intervals):
     batches = grouped_sweep(lo, hi, w)
     for k in range(batches.coords.size - 1):
         mid = (batches.coords[k] + batches.coords[k + 1]) / 2.0
-        active = ids_active_at(lo, hi, mid)
+        active = (lo < mid) & (hi > mid)
         assert batches.active_after[k] == float(w[active].sum())
 
 

@@ -45,7 +45,7 @@ def _engine(points, labels):
     store = DatasetStore()
     store.add_points("d", points, CoverageFunction(labels), fn_key="coverage")
     return ServeEngine(
-        store, cache=ResultCache(64), workers=1, shards=3, batch_window=0.0
+        store, cache=ResultCache(64), workers=1, batch_window=0.0
     )
 
 

@@ -86,7 +86,7 @@ def _setup(tmp_path_factory, base):
     points, _, fn = live.snapshot()
     store.add_points("d", points, fn, fn_key="coverage", space=SPACE)
     engine = ServeEngine(
-        store, cache=cache, workers=1, shards=2, batch_window=0.0
+        store, cache=cache, workers=1, batch_window=0.0
     )
     wal = tmp_path_factory.mktemp("ingest") / "wal.jsonl"
     pipe = IngestPipeline(

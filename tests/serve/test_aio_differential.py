@@ -32,7 +32,7 @@ def make_store(data):
 
 @pytest.fixture()
 def threaded_client(data):
-    engine = ServeEngine(make_store(data), workers=2, shards=3,
+    engine = ServeEngine(make_store(data), workers=2,
                          batch_window=0.002)
     with BRSServer(engine, port=0) as srv:
         yield ServeClient(srv.url, timeout=30.0)
@@ -40,7 +40,7 @@ def threaded_client(data):
 
 @pytest.fixture()
 def aio_client(data):
-    engine = AsyncServeEngine(make_store(data), workers=2, shards=3,
+    engine = AsyncServeEngine(make_store(data), workers=2,
                               batch_window=0.002)
     srv = AsyncBRSServer(engine, port=0)
     srv.start()

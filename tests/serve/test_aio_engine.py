@@ -34,7 +34,7 @@ def store(data):
 
 @pytest.fixture()
 def engine(store):
-    eng = AsyncServeEngine(store, workers=2, shards=3, batch_window=0.002)
+    eng = AsyncServeEngine(store, workers=2, batch_window=0.002)
     eng.start_background()
     yield eng
     eng.close()
@@ -50,9 +50,9 @@ class TestExactness:
 
     def test_matches_threaded_engine_bytes(self, data):
         request = QueryRequest(dataset="demo", a=8.0, b=12.0)
-        with ServeEngine(make_store(data), workers=2, shards=3) as threaded:
+        with ServeEngine(make_store(data), workers=2) as threaded:
             want = threaded.query(request, timeout=60).canonical_bytes()
-        eng = AsyncServeEngine(make_store(data), workers=2, shards=3)
+        eng = AsyncServeEngine(make_store(data), workers=2)
         with eng:
             got = eng.query(request, timeout=60).canonical_bytes()
         assert got == want

@@ -29,7 +29,7 @@ def store(data):
 
 @pytest.fixture()
 def engine(store):
-    eng = ServeEngine(store, workers=2, shards=3, batch_window=0.002)
+    eng = ServeEngine(store, workers=2, batch_window=0.002)
     yield eng
     eng.close()
 
@@ -196,16 +196,15 @@ class TestFailures:
         with pytest.raises(InvalidQueryError, match="unknown dataset"):
             engine.submit(QueryRequest(dataset="nope", a=1.0, b=1.0))
 
-    def test_empty_focus_is_an_error_response(self, engine):
-        resp = engine.query(
-            QueryRequest(
-                dataset="demo", a=5.0, b=8.0,
-                focus=(-10.0, -9.0, -10.0, -9.0),
-            ),
-            timeout=60,
-        )
-        assert resp.status == "error"
-        assert "no objects" in (resp.error or "")
+    def test_empty_focus_is_a_client_error(self, engine):
+        """A focus window holding no objects is rejected at submit."""
+        with pytest.raises(InvalidQueryError, match="no objects"):
+            engine.submit(
+                QueryRequest(
+                    dataset="demo", a=5.0, b=8.0,
+                    focus=(-10.0, -9.0, -10.0, -9.0),
+                )
+            )
 
     def test_closed_engine_refuses_work(self, store):
         eng = ServeEngine(store)

@@ -24,7 +24,7 @@ def data():
 def server(data):
     store = DatasetStore()
     store.add_dataset("demo", data)
-    engine = ServeEngine(store, workers=2, shards=3, batch_window=0.002)
+    engine = ServeEngine(store, workers=2, batch_window=0.002)
     with BRSServer(engine, port=0) as srv:
         yield srv
 
@@ -69,6 +69,22 @@ class TestQueryEndpoint:
         except urllib.error.HTTPError as exc:
             assert exc.code == 400
             assert "not valid JSON" in json.loads(exc.read())["error"]
+
+    def test_empty_focus_is_http_400(self, server):
+        body = {"dataset": "demo", "a": 1.0, "b": 1.0,
+                "focus": [-10.0, -9.0, -10.0, -9.0]}
+        req = urllib.request.Request(
+            server.url + "/v1/query",
+            data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        try:
+            urllib.request.urlopen(req, timeout=10)
+            raise AssertionError("expected HTTP 400")
+        except urllib.error.HTTPError as exc:
+            assert exc.code == 400
+            assert "no objects" in json.loads(exc.read())["error"]
 
     def test_rejected_query_is_http_429(self, data):
         store = DatasetStore()

@@ -30,7 +30,7 @@ def served_engine():
     events = []
     tracer = Tracer(events)
     engine = ServeEngine(
-        store, workers=2, shards=3, batch_window=0.002, tracer=tracer
+        store, workers=2, batch_window=0.002, tracer=tracer
     )
     with BRSServer(engine, port=0) as server:
         yield server, tracer, events
