@@ -63,13 +63,13 @@ from repro.obs import (
     write_metrics,
 )
 from repro.serve import (
-    BRSServer,
+    AsyncBRSServer,
+    AsyncServeEngine,
     DatasetStore,
     QueryRequest,
     QueryResponse,
     ResultCache,
     ServeClient,
-    ServeEngine,
 )
 from repro.runtime import (
     BRSError,
@@ -87,9 +87,10 @@ from repro.runtime import (
 __version__ = "1.2.0"
 
 __all__ = [
+    "AsyncBRSServer",
+    "AsyncServeEngine",
     "BRSError",
     "BRSResult",
-    "BRSServer",
     "Budget",
     "BudgetExceededError",
     "ColumnarDataset",
@@ -111,7 +112,6 @@ __all__ = [
     "ResultCache",
     "RetryingFunction",
     "ServeClient",
-    "ServeEngine",
     "SetFunction",
     "SliceBRS",
     "SumFunction",

@@ -15,7 +15,7 @@ These rules run on the whole-program view built by
   business; BRS011 fires only when the blocking is at least one internal
   call away, which is exactly what a per-file rule cannot see.
 * **BRS012 unbudgeted-serve-path** — every solver function reachable
-  from ``ServeEngine`` execution must pass through a ``runtime.Budget``
+  from ``AsyncServeEngine`` execution must pass through a ``runtime.Budget``
   check somewhere on the path (``budget.expired()``, ``Budget.of(...)``,
   or forwarding a ``budget=`` argument), or carry an explicit
   ``# brs: unbudgeted-ok`` annotation on its ``def`` line.
@@ -55,7 +55,7 @@ INTERPROCEDURAL_RULES: Tuple[Tuple[str, str, str], ...] = (
     (
         "BRS012",
         "unbudgeted-serve-path",
-        "solver reachable from ServeEngine without a runtime.Budget check",
+        "solver reachable from AsyncServeEngine without a runtime.Budget check",
     ),
 )
 
@@ -461,16 +461,15 @@ def _check_unbudgeted_paths(
     builder: _FindingBuilder,
     graph: CallGraph,
 ) -> None:
-    """BRS012: solver reachable from a serve engine with no budget check.
+    """BRS012: solver reachable from the serve engine with no budget check.
 
-    Entry points are the methods of both serve front ends — the threaded
-    ``ServeEngine`` and the asyncio ``AsyncServeEngine`` — since either
-    can drive a solver on behalf of a request.
+    Entry points are the methods of ``AsyncServeEngine``, which drives
+    every solve made on behalf of a request.
     """
     entries = [
         node
         for node in graph.functions.values()
-        if node.class_name in ("ServeEngine", "AsyncServeEngine")
+        if node.class_name == "AsyncServeEngine"
     ]
     reported: Set[str] = set()
     for entry in entries:

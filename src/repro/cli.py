@@ -207,52 +207,37 @@ def _load_tenants(path: Optional[str]):
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so `repro-brs generate/solve` never pay for the
     # serving stack.
-    from repro.serve import DatasetStore, ResultCache
+    from repro.serve import (
+        AsyncBRSServer,
+        AsyncServeEngine,
+        DatasetStore,
+        ResultCache,
+    )
 
     store = DatasetStore()
     for path in args.data:
         entry = store.add_file(path)
         print(f"serving {entry.id}: {len(entry.points)} objects ({entry.kind})")
-    if args.threaded:
-        from repro.serve import BRSServer, ServeEngine
-
-        engine = ServeEngine(
-            store,
-            cache=ResultCache(max_entries=args.cache_entries),
-            workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            default_timeout=args.default_timeout,
-            backend=args.backend,
-            process_workers=args.process_workers,
-        )
-        server = BRSServer(engine, host=args.host, port=args.port)
-    else:
-        from repro.serve.aio import AsyncBRSServer, AsyncServeEngine
-
-        aengine = AsyncServeEngine(
-            store,
-            cache=ResultCache(max_entries=args.cache_entries),
-            tenants=_load_tenants(args.tenants),
-            workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            default_timeout=args.default_timeout,
-            backend=args.backend,
-            process_workers=args.process_workers,
-        )
-        server = AsyncBRSServer(aengine, host=args.host, port=args.port)
-        # Bind on the background loop first so the real URL (ephemeral
-        # ports included) is printable before we block.
-        server.start()
+    engine = AsyncServeEngine(
+        store,
+        cache=ResultCache(max_entries=args.cache_entries),
+        tenants=_load_tenants(args.tenants),
+        workers=args.workers,
+        queue_capacity=args.queue_capacity,
+        default_timeout=args.default_timeout,
+        backend=args.backend,
+        process_workers=args.process_workers,
+    )
+    server = AsyncBRSServer(engine, host=args.host, port=args.port)
+    # Bind on the background loop first so the real URL (ephemeral
+    # ports included) is printable before we block.
+    server.start()
     # SIGTERM/SIGINT flush attached pipelines and stop the listener; the
     # blocking call below returns once the handler thread closes it.
     server.install_signal_handlers()
-    mode = "threaded" if args.threaded else "async"
-    print(f"[{mode}] listening on {server.url} (SIGTERM/Ctrl-C to stop)")
+    print(f"listening on {server.url} (SIGTERM/Ctrl-C to stop)")
     try:
-        if args.threaded:
-            server.serve_forever()
-        else:
-            server.wait()
+        server.wait()
     except KeyboardInterrupt:
         print("shutting down")
     finally:
@@ -263,7 +248,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve import DatasetStore
+    from repro.serve import AsyncServeEngine, DatasetStore
     from repro.serve.loadgen import WorkloadMix, saturation_sweep
 
     def make_store() -> "DatasetStore":
@@ -290,55 +275,34 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         WorkloadMix(tenant="beta", share=1.0, dataset=dataset_id,
                     timeout=args.timeout),
     )
-    engines = ("async", "thread") if args.engine == "both" else (args.engine,)
-    out: dict = {}
-    for kind in engines:
-        if kind == "async":
-            from repro.serve.aio import AsyncServeEngine
 
-            def make_submit():
-                engine = AsyncServeEngine(
-                    make_store(), cache=None, workers=args.workers,
-                    queue_capacity=args.queue_capacity,
-                )
-                engine.start_background()
-                return (
-                    lambda req, tenant: engine.submit_threadsafe(
-                        req, tenant=tenant
-                    ),
-                    engine.close,
-                )
-        else:
-            from repro.serve import ServeEngine
-
-            def make_submit():
-                engine = ServeEngine(
-                    make_store(), cache=None, workers=args.workers,
-                    queue_capacity=args.queue_capacity,
-                )
-                return (
-                    lambda req, tenant: engine.submit(req),
-                    engine.close,
-                )
-
-        reports = saturation_sweep(
-            make_submit, mixes, qps_points=args.qps,
-            duration=args.duration, seed=args.seed,
+    def make_submit():
+        engine = AsyncServeEngine(
+            make_store(), cache=None, workers=args.workers,
+            queue_capacity=args.queue_capacity,
         )
-        rows = [r.row() for r in reports]
-        out[kind] = rows
-        print(f"engine={kind}")
-        print(f"  {'qps':>7} {'p50ms':>8} {'p99ms':>9} "
-              f"{'shed':>6} {'goodput':>8}")
-        for row in rows:
-            print(
-                f"  {row['target_qps']:>7.0f} {row['p50_ms']:>8.2f} "
-                f"{row['p99_ms']:>9.2f} {row['shed_rate']:>6.3f} "
-                f"{row['goodput_qps']:>8.2f}"
-            )
+        engine.start_background()
+        return (
+            lambda req, tenant: engine.submit_threadsafe(req, tenant=tenant),
+            engine.close,
+        )
+
+    reports = saturation_sweep(
+        make_submit, mixes, qps_points=args.qps,
+        duration=args.duration, seed=args.seed,
+    )
+    rows = [r.row() for r in reports]
+    print(f"  {'qps':>7} {'p50ms':>8} {'p99ms':>9} "
+          f"{'shed':>6} {'goodput':>8}")
+    for row in rows:
+        print(
+            f"  {row['target_qps']:>7.0f} {row['p50_ms']:>8.2f} "
+            f"{row['p99_ms']:>9.2f} {row['shed_rate']:>6.3f} "
+            f"{row['goodput_qps']:>8.2f}"
+        )
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            _json.dump(out, fh, indent=2, sort_keys=True)
+            _json.dump(rows, fh, indent=2, sort_keys=True)
         print(f"sweep written to {args.json_out}")
     return 0
 
@@ -654,21 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--process-workers", type=int, default=2, dest="process_workers",
         help="pool size for --backend process",
     )
-    mode = serve.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--async", action="store_false", dest="threaded",
-        help="asyncio multi-tenant server (the default)",
-    )
-    mode.add_argument(
-        "--threaded", action="store_true", dest="threaded",
-        help="legacy threaded server (kept for differential testing)",
-    )
     serve.add_argument(
         "--tenants", default=None, metavar="PATH",
-        help="JSON list of tenant specs "
-             "({id, weight, quota, datasets}); async mode only",
+        help="JSON list of tenant specs ({id, weight, quota, datasets})",
     )
-    serve.set_defaults(func=_cmd_serve, threaded=False)
+    serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(
         "loadgen",
@@ -681,10 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--objects", type=int, default=400,
         help="synthetic dataset size when no files are given",
-    )
-    loadgen.add_argument(
-        "--engine", choices=("async", "thread", "both"), default="async",
-        help="engine(s) to drive",
     )
     loadgen.add_argument(
         "--qps", type=float, nargs="+", default=[25.0, 50.0, 100.0],

@@ -10,6 +10,7 @@ SliceBRS adaptation of Appendix C.2.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Tuple
 
 #: Sentinel returned when no interval exists.
@@ -28,9 +29,12 @@ def max_stabbing(
         weights: per-interval non-negative weights; all ones when omitted.
 
     Returns:
-        The maximum total stabbed weight and an x achieving it (the midpoint
-        of a maximizing gap between event coordinates), or ``(0.0, None)``
-        when there are no intervals.
+        The maximum total stabbed weight and an x achieving it, or
+        ``(0.0, None)`` when no interval holds a float.  Each open
+        ``(lo, hi)`` holds exactly the floats of the half-open run
+        ``[nextafter(lo, +inf), hi)``; the sweep runs over those runs, so
+        the reported x lies strictly inside every interval it counts,
+        even where a maximizing gap is one ulp wide.
 
     Raises:
         ValueError: on a degenerate interval or negative weight.
@@ -42,8 +46,6 @@ def max_stabbing(
         weight_list = [float(w) for w in weights]
         if len(weight_list) != len(pairs):
             raise ValueError("weights/intervals length mismatch")
-    if not pairs:
-        return _EMPTY
 
     events: List[Tuple[float, float]] = []
     for (lo, hi), w in zip(pairs, weight_list):
@@ -51,8 +53,10 @@ def max_stabbing(
             raise ValueError(f"degenerate interval ({lo}, {hi})")
         if w < 0:
             raise ValueError("negative weights are not supported")
-        events.append((lo, +w))
-        events.append((hi, -w))
+        first = math.nextafter(lo, math.inf)
+        if first < hi:
+            events.append((first, +w))
+            events.append((hi, -w))
     events.sort()
 
     best_weight = 0.0
@@ -67,5 +71,19 @@ def max_stabbing(
             i += 1
         if i < n and running > best_weight:
             best_weight = running
-            best_x = (x + events[i][0]) / 2.0
+            best_x = _cell_point(x, events[i][0])
+    if best_x is None:
+        return _EMPTY
     return best_weight, best_x
+
+
+def _cell_point(lo: float, hi: float) -> float:
+    """A float inside the half-open cell ``[lo, hi)``.
+
+    The midpoint of the open gap from the float below ``lo`` to ``hi``
+    (the gap between the two event coordinates when ``lo`` opens an
+    interval), unless it rounds out of the cell; then ``lo`` itself.
+    Chosen as :func:`repro.core.siri.cell_center` chooses a sweep center.
+    """
+    mid = (math.nextafter(lo, -math.inf) + hi) / 2.0
+    return mid if lo <= mid < hi else lo

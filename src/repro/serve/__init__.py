@@ -11,38 +11,30 @@ workload:
   with hit/miss/eviction metrics and dataset-version invalidation.
 * :mod:`repro.serve.store` — the datasets a server answers for, each with
   a version that query keys embed.
-* :mod:`repro.serve.planner` — dedup of identical in-flight queries and
-  grouping of compatible ones into shared-setup batches.
-* :mod:`repro.serve.admission` — bounded open-query count with explicit
-  rejection (backpressure) instead of unbounded queueing.
-* :mod:`repro.serve.executor` — :class:`ServeEngine`, the worker pool
-  executing planned batches, one exact solve per query, with
-  per-request :class:`~repro.runtime.budget.Budget` deadlines and
-  degraded anytime answers on expiry.
-* :mod:`repro.serve.server` / :mod:`repro.serve.client` — the stdlib-only
-  HTTP front end (``repro serve``) and its JSON protocol client.
-* :mod:`repro.serve.solvecore` — :class:`QuerySolver`, the shared
-  solve-one-query core both front ends execute, with the degradation
-  ladder (exact → cover → gridscan) the pressure monitor drives.
+* :mod:`repro.serve.planner` — dedup of identical in-flight queries.
+* :mod:`repro.serve.solvecore` — :class:`QuerySolver`, the
+  solve-one-query core the engine executes, with the degradation ladder
+  (exact → cover → gridscan) the pressure monitor drives.
 * :mod:`repro.serve.tenancy` / :mod:`repro.serve.fairqueue` /
-  :mod:`repro.serve.pressure` — per-tenant quotas and dataset allow
-  lists, start-time-fair queueing with a provable bypass bound, and the
-  hysteresis ladder that sheds load when backlog or SLO burn climbs.
-* :mod:`repro.serve.aio` — :class:`AsyncServeEngine` and
-  :class:`AsyncBRSServer`, the asyncio multi-tenant front end that is
-  the default server (``repro-brs serve``; ``--threaded`` keeps the
-  classic engine).
+  :mod:`repro.serve.pressure` — per-tenant quotas under a global
+  open-query capacity, start-time-fair queueing with a provable bypass
+  bound, and the hysteresis ladder that sheds load when backlog or SLO
+  burn climbs.
+* :mod:`repro.serve.aio` — :class:`AsyncServeEngine`, the serve engine
+  (admission → cache → dedup → fair queue → solve, with per-request
+  :class:`~repro.runtime.budget.Budget` deadlines and degraded anytime
+  answers on expiry), and :class:`AsyncBRSServer`, its stdlib-only
+  asyncio HTTP front end (``repro-brs serve``).
+* :mod:`repro.serve.client` — the JSON protocol client.
 * :mod:`repro.serve.loadgen` — open-loop, coordinated-omission-safe
   load generation (Poisson arrivals, per-tenant mixes, saturation
   sweeps) feeding the ``serve-saturation`` experiment.
 * :mod:`repro.serve.selfcheck` — the end-to-end smoke driver CI runs.
 """
 
-from repro.serve.admission import AdmissionController
 from repro.serve.aio import AsyncBRSServer, AsyncServeEngine
 from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.executor import ServeEngine
 from repro.serve.fairqueue import WeightedFairQueue, bypass_bound
 from repro.serve.loadgen import (
     LoadReport,
@@ -67,7 +59,6 @@ from repro.serve.model import (
 )
 from repro.serve.planner import BatchPlanner, PlannedQuery
 from repro.serve.pressure import PressureMonitor, PressurePolicy
-from repro.serve.server import BRSServer
 from repro.serve.solvecore import QuerySolver
 from repro.serve.store import DatasetStore, ServedDataset
 from repro.serve.tenancy import TenantAdmission, TenantRegistry, TenantSpec
@@ -76,10 +67,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "QUANT_SIG_DIGITS",
     "SERVE_STATUSES",
-    "AdmissionController",
     "AsyncBRSServer",
     "AsyncServeEngine",
-    "BRSServer",
     "BatchPlanner",
     "CacheKey",
     "CacheStats",
@@ -96,7 +85,6 @@ __all__ = [
     "ScheduledQuery",
     "ServeClient",
     "ServeClientError",
-    "ServeEngine",
     "ServedDataset",
     "TenantAdmission",
     "TenantRegistry",

@@ -1,13 +1,11 @@
-"""Asyncio multi-tenant serve tier: fair queueing + pressure shedding.
+"""The serve engine and its HTTP front end, on asyncio.
 
-The package splits the async front end the same way the threaded tier
-does: :mod:`repro.serve.aio.engine` holds the in-process core
-(:class:`AsyncServeEngine` — tenancy, weighted-fair scheduling,
-coalescing, pressure-driven rung selection), and
+:mod:`repro.serve.aio.engine` holds the in-process core
+(:class:`AsyncServeEngine` — admission, caching, dedup, tenancy,
+weighted-fair scheduling, pressure-driven rung selection), and
 :mod:`repro.serve.aio.http` wraps it in a stdlib-only asyncio HTTP
-server (:class:`AsyncBRSServer`) speaking the exact protocol of the
-threaded :class:`~repro.serve.server.BRSServer`, plus the tenant
-surface (``X-BRS-Tenant`` header, ``GET /v1/tenants``).
+server (:class:`AsyncBRSServer`) speaking the v1 JSON protocol,
+tenant surface (``X-BRS-Tenant`` header, ``GET /v1/tenants``) included.
 """
 
 from repro.serve.aio.engine import AsyncServeEngine

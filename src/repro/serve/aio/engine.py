@@ -1,40 +1,48 @@
-"""The asyncio serving engine: tenancy, fair queueing, pressure shedding.
+"""The serving engine: admission, cache, dedup, fair queueing, solve.
 
-:class:`AsyncServeEngine` is the event-loop counterpart of the threaded
-:class:`~repro.serve.executor.ServeEngine`.  The two share every
-deterministic stage — request normalization, the result cache, the
-in-flight dedup/coalescing table (:class:`~repro.serve.planner.BatchPlanner`),
-and the solving core (:class:`~repro.serve.solvecore.QuerySolver`) — so
-an identical query stream produces byte-identical ``canonical_bytes``
-responses on both (the differential acceptance suite pins this).  What
-the async engine adds is everything that matters at high fan-in:
+:class:`AsyncServeEngine` is the in-process core every front end wraps
+(the HTTP server, the load generator, the self-check).  A submitted
+request flows through these stages in order:
 
-1. **Tenancy.**  Requests carry a tenant id (the ``X-BRS-Tenant``
+1. **Resolve + normalize.**  The dataset id is resolved against the
+   :class:`~repro.serve.store.DatasetStore`, ``k*q`` sizing is applied,
+   and the request becomes a :class:`~repro.serve.model.CacheKey`.
+2. **Cache.**  A hit returns at once (envelope marked ``cached``).
+3. **Dedup.**  An identical in-flight query absorbs the request
+   (:class:`~repro.serve.planner.BatchPlanner`); N concurrent identical
+   queries cost one solve.
+4. **Tenancy.**  Requests carry a tenant id (the ``X-BRS-Tenant``
    header); a :class:`~repro.serve.tenancy.TenantRegistry` resolves it
    to a weight, an admission quota, and a dataset allow list, and
-   :class:`~repro.serve.tenancy.TenantAdmission` enforces the quota
-   *before* any queueing — quota overflow is the first, cheapest
-   shedding stage.
-2. **Weighted-fair scheduling.**  Admitted queries enter a
+   :class:`~repro.serve.tenancy.TenantAdmission` enforces the quota and
+   the engine's open-query capacity *before* any queueing — overflow is
+   an explicit ``"rejected"`` response, never an unbounded queue.
+5. **Weighted-fair scheduling.**  Admitted queries enter a
    :class:`~repro.serve.fairqueue.WeightedFairQueue`; the scheduler task
-   drains it in finish-tag order, so a flooding tenant delays a polite
-   one by at most the bounded bypass of start-time fair queueing, never
-   unboundedly.
-3. **Pressure-driven shedding.**  A :class:`~repro.serve.pressure.PressureMonitor`
-   watches fair-queue backlog and SLO error-budget burn each scheduling
-   cycle and selects the runtime-ladder rung (exact → cover → grid) for
-   the *whole* cycle — answers get cheaper before deadlines start
-   missing, and every shed answer still carries a certified quality
-   bound (see :mod:`repro.serve.solvecore`).
+   drains it in finish-tag order, grouping compatible queries (same
+   dataset, version, function, rectangle size) into batches, so a
+   flooding tenant delays a polite one by at most the bounded bypass of
+   start-time fair queueing.
+6. **Pressure-driven shedding.**  A :class:`~repro.serve.pressure.PressureMonitor`
+   watches what each scheduling cycle leaves queued and the SLO
+   error-budget burn, and selects the runtime-ladder rung (exact →
+   cover → grid) for the cycle's batches — answers get cheaper before
+   deadlines start missing, and every shed answer still carries a
+   certified quality bound (see :mod:`repro.serve.solvecore`).
+7. **Execution.**  Each query of a batch is one solve
+   (:class:`~repro.serve.solvecore.QuerySolver`) under its
+   :class:`~repro.runtime.budget.Budget` deadline; on expiry the answer
+   degrades (anytime best-so-far, then a coarse grid scan) instead of
+   overrunning.  Exact answers are written back to the
+   :class:`~repro.serve.cache.ResultCache`; degraded ones never are.
 
 Solves are CPU-bound, so they run on a worker thread pool via
 ``run_in_executor``; the event loop only routes, queues, and awaits.
 The engine can be embedded two ways: natively (``await engine.start()``
 on a running loop) or from synchronous code via
-:meth:`AsyncServeEngine.start_background`, which runs a private loop on
-a daemon thread and exposes the thread-safe :meth:`submit_threadsafe` /
-:meth:`query` — the interface the load generator and the differential
-tests drive.
+:meth:`AsyncServeEngine.start_background` (or the ``with`` statement),
+which runs a private loop on a daemon thread and exposes the
+thread-safe :meth:`submit_threadsafe` / :meth:`query`.
 """
 
 from __future__ import annotations
@@ -57,7 +65,6 @@ from repro.runtime.errors import (
     InvalidQueryError,
 )
 from repro.serve.cache import ResultCache
-from repro.serve.executor import _LATENCY_BUCKETS
 from repro.serve.model import QueryRequest, QueryResponse
 from repro.serve.planner import BatchPlanner, PlannedQuery
 from repro.serve.fairqueue import WeightedFairQueue
@@ -65,6 +72,11 @@ from repro.serve.pressure import PressureMonitor, PressurePolicy
 from repro.serve.solvecore import QuerySolver, error_response
 from repro.serve.store import DatasetStore, ServedDataset
 from repro.serve.tenancy import TenantAdmission, TenantRegistry
+
+#: Fine-grained latency buckets for request latency (cache hits are ~µs).
+_LATENCY_BUCKETS = (
+    0.00001, 0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
+)
 
 
 class AsyncServeEngine:
@@ -490,13 +502,9 @@ class AsyncServeEngine:
             self._dispatch_cycle()
 
     def _dispatch_cycle(self) -> None:
-        """One scheduling cycle: observe pressure, drain fairly, dispatch."""
+        """One scheduling cycle: drain fairly, observe pressure, dispatch."""
         assert self._loop is not None and self._wake is not None
         with metrics_scope(self.registry):
-            backlog = len(self._queue)
-            ratio = backlog / self._capacity if self._capacity else 0.0
-            self._pressure.observe(ratio, self._slo.snapshot())
-            rung = self._pressure.rung()
             with self._inflight_lock:
                 available = self._max_inflight_groups - self._inflight_groups
             groups: "OrderedDict[tuple, List[Tuple[str, PlannedQuery]]]" = (
@@ -520,6 +528,12 @@ class AsyncServeEngine:
                 groups.setdefault(group_key, []).append((tenant, planned))
                 taken += 1
             self._publish_queue_depth()
+            # Backlog is what this cycle leaves queued: the queries just
+            # drained go to idle workers, so they are not overload.
+            backlog = len(self._queue)
+            ratio = backlog / self._capacity if self._capacity else 0.0
+            self._pressure.observe(ratio, self._slo.snapshot())
+            rung = self._pressure.rung()
             for group in groups.values():
                 with self._inflight_lock:
                     self._inflight_groups += 1

@@ -1,24 +1,46 @@
-"""Stdlib-only asyncio HTTP front end for the async serving engine.
+"""Stdlib-only asyncio HTTP front end for the serving engine.
 
-A minimal HTTP/1.1 server over :func:`asyncio.start_server`, speaking
-the exact JSON protocol of the threaded
-:class:`~repro.serve.server.BRSServer` — same paths, same envelope
-(``{"protocol": 1, ...}``), same status-code mapping — so the existing
-:class:`~repro.serve.client.ServeClient` works against either server
-unchanged, and the differential suite can stream one workload through
-both.  Two additions carry the tenant surface:
+A minimal HTTP/1.1 server over :func:`asyncio.start_server`: a thin JSON
+shell around :class:`~repro.serve.aio.engine.AsyncServeEngine`, so
+concurrency, batching, dedup, and backpressure all live in the engine
+where they are testable without sockets.
 
-* ``POST /v1/query`` reads the ``X-BRS-Tenant`` header and routes the
-  request through the tenant's quota and fair-queue weight.
-* ``GET /v1/tenants`` lists registered tenant policies and live
-  per-tenant admission counters.
+Protocol (all bodies JSON, version :data:`~repro.serve.model.PROTOCOL_VERSION`):
 
+========  ===================  ================================================
+method    path                 meaning
+========  ===================  ================================================
+POST      ``/v1/query``        solve a :class:`~repro.serve.model.QueryRequest`;
+                               200 for ``ok``/``degraded``, 429 for
+                               ``rejected``, 400 for malformed requests, 500
+                               for ``error``; the ``X-BRS-Tenant`` header
+                               picks the tenant's quota and fair-queue weight
+GET       ``/v1/datasets``     served datasets with versions
+GET       ``/v1/stats``        cache/queue/tenant/pressure/latency snapshot
+GET       ``/v1/tenants``      tenant policies and live admission counters
+POST      ``/v1/invalidate``   ``{"dataset": id}`` — bump version, purge cache
+GET       ``/metrics``         Prometheus text exposition of the engine
+                               registry (SLO gauges freshly published)
+GET       ``/healthz``         liveness probe, with the live SLO verdict
+GET       ``/debug/slo``       sliding-window SLO snapshot (p50/p99, burn)
+GET       ``/debug/pressure``  the pressure monitor's level and rung
+========  ===================  ================================================
+
+Responses are wrapped in an envelope ``{"protocol": 1, ...payload}``.
 Connections are keep-alive by default (``Connection: close`` honored);
-request bodies are capped at the same
-:data:`~repro.serve.server.MAX_BODY_BYTES` as the threaded server.  The
-server runs natively (``await server.start()``) or from synchronous
-code via :meth:`AsyncBRSServer.start`, which hosts engine + listener on
-a private daemon-thread event loop — the CLI and test embedding path.
+request bodies are capped at :data:`MAX_BODY_BYTES`.
+
+Distributed tracing: a client may send an ``X-BRS-Trace`` header
+(``trace_id[:parent_span_id]``, see :class:`repro.obs.trace.TraceContext`).
+Each query opens a ``server.request`` span parented under the client's
+span id — a root span when there is none — and forwards that span's
+context into the engine, so the request's whole path (HTTP accept,
+batching, solve) lands in one span tree.
+
+The server runs natively (``await server.start_async()``) or from
+synchronous code via :meth:`AsyncBRSServer.start`, which hosts engine +
+listener on a private daemon-thread event loop — the CLI and test
+embedding path.
 """
 
 from __future__ import annotations
@@ -28,20 +50,30 @@ import json
 import signal
 import threading
 from types import FrameType
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import TRACE_HEADER, TraceContext
 from repro.runtime.errors import InvalidQueryError
 from repro.serve.aio.engine import AsyncServeEngine
 from repro.serve.model import PROTOCOL_VERSION, QueryRequest
-from repro.serve.server import MAX_BODY_BYTES, _status_code
 
 #: Header carrying the requester's tenant id.
 TENANT_HEADER = "X-BRS-Tenant"
 
+#: Largest request body accepted, to keep a hostile client from ballooning
+#: server memory (queries are a few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
+
+
+def _status_code(status: str) -> int:
+    """HTTP status for a serve response status."""
+    return {"ok": 200, "degraded": 200, "rejected": 429, "error": 500}.get(
+        status, 500
+    )
+
 
 class AsyncBRSServer:
-    """The ``repro serve --async`` HTTP server: async engine + listener.
+    """The ``repro-brs serve`` HTTP server: engine + asyncio listener.
 
     Args:
         engine: the async serving engine answering queries.
@@ -67,6 +99,7 @@ class AsyncBRSServer:
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._closed = False
+        self._pipelines: List[Any] = []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -153,14 +186,27 @@ class AsyncBRSServer:
         while thread is not None and thread.is_alive():
             thread.join(timeout=0.5)
 
+    def attach_pipeline(self, pipeline: Any) -> None:
+        """Tie an ingest pipeline's lifecycle to this server's.
+
+        On shutdown (including SIGTERM) attached pipelines are flushed
+        and closed *before* the listener and engine stop: every batch
+        accepted so far reaches a terminal state and the write-ahead log
+        closes cleanly, so a graceful shutdown leaves nothing pending.
+        """
+        self._pipelines.append(pipeline)
+
     def install_signal_handlers(
         self, signums: Tuple[int, ...] = (signal.SIGTERM, signal.SIGINT)
     ) -> Callable[[int, Optional[FrameType]], None]:
         """Make SIGTERM/SIGINT perform a graceful shutdown.
 
-        Mirrors :meth:`repro.serve.server.BRSServer.install_signal_handlers`:
-        the handler hands the work to a daemon thread because the main
-        thread is blocked inside :meth:`serve_forever`.
+        The handler hands the work to a daemon thread: signal handlers
+        run on the main thread, which in the CLI path is blocked in
+        :meth:`wait` or :meth:`serve_forever`.
+
+        Returns the installed handler (tests invoke it directly).  Call
+        from the main thread only (a CPython restriction on ``signal``).
         """
 
         def _handle(signum: int, frame: Optional[FrameType]) -> None:
@@ -173,10 +219,15 @@ class AsyncBRSServer:
         return _handle
 
     def close(self) -> None:
-        """Stop the listener and shut the engine down (any thread)."""
+        """Flush attached pipelines, stop the listener, shut the engine down.
+
+        Callable from any thread; idempotent.
+        """
         if self._closed:
             return
         self._closed = True
+        for pipeline in self._pipelines:
+            pipeline.close(flush=True)
         loop, shutdown = self._loop, self._shutdown
         if loop is not None and shutdown is not None and loop.is_running():
             loop.call_soon_threadsafe(shutdown.set)
@@ -314,18 +365,18 @@ class AsyncBRSServer:
         tenant = headers.get(TENANT_HEADER.lower()) or None
         ctx = TraceContext.from_header(headers.get(TRACE_HEADER.lower()))
         tracer = engine.tracer
-        if ctx is not None:
-            span = tracer.span(
-                "server.request",
-                parent_id=ctx.parent_span_id,
-                trace_id=ctx.trace_id,
-                path="/v1/query",
-            )
-        else:
-            span = tracer.span("server.request", path="/v1/query")
-        with span:
+        trace_id = ctx.trace_id if ctx is not None else tracer.trace_id
+        # Every connection shares the event-loop thread, so its span
+        # stack holds other requests' spans: parent explicitly, under the
+        # client's span or as a root.
+        with tracer.span(
+            "server.request",
+            parent_id=ctx.parent_span_id if ctx is not None else None,
+            trace_id=trace_id,
+            path="/v1/query",
+        ) as span:
             request = QueryRequest.from_json(self._parse_json(body))
-            inner = tracer.context() if tracer.enabled else None
+            inner = TraceContext(trace_id, span.span_id) if tracer.enabled else None
             response = await engine.submit(request, tenant=tenant, trace=inner)
         return _status_code(response.status), response.to_json(), None
 

@@ -1,7 +1,8 @@
 """Small stdlib HTTP client for the serving protocol.
 
 Wraps ``urllib.request`` so scripts, tests, and the benchmark harness can
-talk to a :class:`~repro.serve.server.BRSServer` without any dependency.
+talk to an :class:`~repro.serve.aio.http.AsyncBRSServer` without any
+dependency.
 Non-2xx responses that still carry the JSON protocol envelope (a rejected
 query is HTTP 429 with a full response body) are decoded rather than
 raised, so callers handle backpressure as data; transport-level failures
@@ -34,8 +35,8 @@ class ServeClient:
 
     Args:
         base_url: e.g. ``"http://127.0.0.1:8331"`` (no trailing slash
-            needed); :attr:`~repro.serve.server.BRSServer.url` hands you
-            this directly.
+            needed); :attr:`~repro.serve.aio.http.AsyncBRSServer.url`
+            hands you this directly.
         timeout: socket timeout in seconds for each HTTP call (distinct
             from the per-query deadline inside a request).
     """

@@ -1,7 +1,7 @@
 """End-to-end serving smoke check: ``python -m repro.serve.selfcheck``.
 
-Boots a real :class:`~repro.serve.server.BRSServer` on an ephemeral port
-and drives it over HTTP the way CI does:
+Boots a real :class:`~repro.serve.aio.http.AsyncBRSServer` on an
+ephemeral port and drives it over HTTP the way CI does:
 
 1. a **cold wave** of concurrent mixed queries, each fired twice so the
    in-flight dedup path is exercised; the wave is driven *open-loop*
@@ -14,8 +14,8 @@ and drives it over HTTP the way CI does:
    result cache (byte-identical cores, positive hit rate);
 3. a **past-deadline probe** (microsecond timeout) that must come back
    ``degraded`` — an anytime answer, not an overrun and not an error;
-4. a **backpressure probe**: the admission queue is filled with slow
-   queries and one more must be explicitly ``rejected``;
+4. a **backpressure probe**: the engine's open-query capacity is filled
+   with slow queries and one more must be explicitly ``rejected``;
 5. an **SLO verdict**: the engine's sliding-window tracker must judge the
    whole run healthy against the ``interactive`` objective (the one
    rejection above is designed shedding, within its ceiling), and the
@@ -42,12 +42,11 @@ from repro.datasets.registry import scalability_dataset
 from repro.functions.base import SetFunction
 from repro.geometry.rect import Rect
 from repro.obs.metrics import Histogram, histogram_quantile
+from repro.serve.aio import AsyncBRSServer, AsyncServeEngine
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient
-from repro.serve.executor import ServeEngine
 from repro.serve.loadgen import ScheduledQuery, fire_schedule, summarize
 from repro.serve.model import QueryRequest, QueryResponse, quantize
-from repro.serve.server import BRSServer
 from repro.serve.store import DatasetStore
 
 
@@ -120,14 +119,14 @@ def run_selfcheck(
         fn_key="coverage-slow",
         space=data.space,
     )
-    engine = ServeEngine(
+    engine = AsyncServeEngine(
         store,
         cache=ResultCache(max_entries=256),
         workers=2,
         queue_capacity=capacity,
         batch_window=0.01,
     )
-    with BRSServer(engine, port=0) as server:
+    with AsyncBRSServer(engine, port=0) as server:
         client = ServeClient(server.url, timeout=60.0)
         checks.record("healthz", client.healthy())
 
@@ -280,7 +279,7 @@ def run_selfcheck(
             "brs_serve_requests_total",
             "brs_serve_request_seconds",
             "brs_result_cache_hits_total",
-            "brs_serve_queue_depth",
+            "brs_tenant_open",
             "brs_serve_inflight",
             "brs_slo_p99_seconds",
             "brs_slo_error_budget_burn",

@@ -1,18 +1,15 @@
-"""The shared solving core both serve engines execute queries through.
+"""The solving core the serve engine executes queries through.
 
-:class:`QuerySolver` is the piece of the old ``ServeEngine`` that has
-nothing to do with threads or event loops: given a normalized
+:class:`QuerySolver` is the part of serving that has nothing to do with
+threads or event loops: given a normalized
 :class:`~repro.serve.model.CacheKey`, a resolved
 :class:`~repro.serve.store.ServedDataset`, and a
 :class:`~repro.runtime.budget.Budget`, produce a
-:class:`~repro.serve.model.QueryResponse`.  Pulling it out lets the
-threaded engine (:class:`~repro.serve.executor.ServeEngine`) and the
-asyncio engine (:class:`~repro.serve.aio.engine.AsyncServeEngine`) run
-byte-identical solves — the differential acceptance suite pins exactly
-that property.  The engines dispatch compatible queries (same dataset,
-version, function and rectangle size) as one group; a group shares one
-dataset resolve and one dispatch slot, and each of its queries is one
-:meth:`QuerySolver.solve` call.
+:class:`~repro.serve.model.QueryResponse`.  The engine
+(:class:`~repro.serve.aio.engine.AsyncServeEngine`) dispatches
+compatible queries (same dataset, version, function and rectangle size)
+as one group; a group shares one dataset resolve and one dispatch slot,
+and each of its queries is one :meth:`QuerySolver.solve` call.
 
 The solver exposes the runtime ladder as explicit *rungs* so a serve
 tier can shed load by answer quality, not just by deadline:
@@ -35,7 +32,7 @@ Every non-exact rung returns ``status="degraded"`` with a non-``None``
 answer is never an unbounded guess.
 
 Metrics are published through the *ambient* registry
-(:func:`repro.obs.metrics.active_registry`), so whichever engine wraps
+(:func:`repro.obs.metrics.active_registry`), so the engine that wraps
 the call in its own ``metrics_scope`` owns the counters.
 """
 

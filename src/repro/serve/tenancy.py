@@ -193,33 +193,34 @@ class TenantAdmission:
         spec = self.registry.resolve(tenant_id)
         with self._lock:
             counters = self._counter(spec.id)
+            rejected: Optional[AdmissionRejectedError] = None
             if counters.open >= spec.quota:
-                counters.rejected_total += 1
-                rejected = True
-                reason = (
+                rejected = AdmissionRejectedError(
                     f"tenant {spec.id!r} quota exhausted "
-                    f"({counters.open}/{spec.quota} open)"
+                    f"({counters.open}/{spec.quota} open)",
+                    queue_depth=counters.open,
+                    capacity=spec.quota,
                 )
             elif self.capacity is not None and self._open_total >= self.capacity:
-                counters.rejected_total += 1
-                rejected = True
-                reason = (
+                rejected = AdmissionRejectedError(
                     f"serve capacity exhausted "
-                    f"({self._open_total}/{self.capacity} open)"
+                    f"({self._open_total}/{self.capacity} open)",
+                    queue_depth=self._open_total,
+                    capacity=self.capacity,
                 )
+            if rejected is not None:
+                counters.rejected_total += 1
             else:
                 counters.open += 1
                 counters.admitted_total += 1
                 self._open_total += 1
-                rejected = False
-                reason = ""
-        if rejected:
+        if rejected is not None:
             active_registry().counter(
                 "brs_tenant_rejected_total",
                 help="queries rejected by tenant quota or serve capacity",
             ).inc()
             self._publish()
-            raise AdmissionRejectedError(reason)
+            raise rejected
         self._publish()
         return spec
 

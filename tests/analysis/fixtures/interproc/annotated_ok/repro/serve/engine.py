@@ -1,10 +1,10 @@
-"""Fixture: ServeEngine dispatches to the solver with no budget check."""
+"""Fixture: AsyncServeEngine dispatches to the solver with no budget check."""
 from repro.core.solver import solve
 
 
-class ServeEngine:
-    def submit(self, grid):
-        return self._run(grid)
+class AsyncServeEngine:
+    def submit_threadsafe(self, grid):
+        return self._dispatch(grid)
 
-    def _run(self, grid):
+    def _dispatch(self, grid):
         return solve(grid)

@@ -30,13 +30,11 @@ def run_tree(name):
         ("clean_order", []),
         ("bad_blocking", ["BRS011"]),
         ("clean_blocking", []),
-        ("bad_unbudgeted", ["BRS012"]),
-        ("clean_budgeted", []),
         ("bad_aio_unbudgeted", ["BRS012"]),
         ("clean_aio_budgeted", []),
-        ("annotated_ok", []),
         ("bad_columnar_unbudgeted", ["BRS012"]),
         ("clean_columnar_budgeted", []),
+        ("annotated_ok", []),
     ],
 )
 def test_rule_fires_and_stays_silent(tree, expected_rules):
@@ -72,10 +70,13 @@ def test_blocking_finding_shows_the_transitive_chain():
 
 
 def test_unbudgeted_finding_names_entry_and_path():
-    findings, _, _ = run_tree("bad_unbudgeted")
+    findings, _, _ = run_tree("bad_aio_unbudgeted")
     (finding,) = findings
     assert finding.path == "repro/core/solver.py"
-    assert "repro.serve.engine.ServeEngine.submit" in finding.message
+    assert (
+        "repro.serve.engine.AsyncServeEngine.submit_threadsafe"
+        in finding.message
+    )
     assert "unbudgeted-ok" in finding.message
 
 

@@ -234,6 +234,19 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "f.json", "--shards", "4"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "f.json", "--threaded"],
+            ["serve", "f.json", "--async"],
+            ["loadgen", "--engine", "async"],
+        ],
+    )
+    def test_one_engine_has_no_engine_choice(self, argv):
+        """There is one serve engine; the flags that picked one are gone."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_serve_end_to_end(self, dataset_file):
         """`repro-brs serve` boots, answers a query over HTTP, shuts down."""
         import json

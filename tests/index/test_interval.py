@@ -1,5 +1,6 @@
 """Tests for 1-D maximum interval stabbing."""
 
+import math
 import random
 
 import pytest
@@ -30,6 +31,20 @@ class TestMaxStabbing:
         """(0,1) and (1,2) never share a stabbing point (open intervals)."""
         value, _ = max_stabbing([(0, 1), (1, 2)])
         assert value == 1.0
+
+    def test_one_ulp_gap_reports_a_point_that_stabs_its_weight(self):
+        """The two intervals share no float: (0, 1) ends where the other's
+        first float, 1.0, begins."""
+        intervals = [(0.0, 1.0), (math.nextafter(1.0, 0.0), 2.0)]
+        assert max_stabbing(intervals) == (1.0, 0.5)
+
+    def test_one_float_interval(self):
+        """(1 - ulp, 1 + ulp) holds the single float 1.0."""
+        interval = (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))
+        assert max_stabbing([interval]) == (1.0, 1.0)
+
+    def test_interval_holding_no_float_stabs_nothing(self):
+        assert max_stabbing([(1.0, math.nextafter(1.0, 2.0))]) == (0.0, None)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -128,7 +128,7 @@ class TestMetricNamesPassLint:
             "brs_serve_requests_total", help="requests accepted"
         ).inc()
         registry.gauge("brs_serve_inflight", help="open queries").set(0.0)
-        registry.gauge("brs_serve_queue_depth", help="queue depth").set(0.0)
+        registry.gauge("brs_tenant_open", help="open queries").set(0.0)
         documented = parse_documented_names(DOC_PATH.read_text())
         for name in registry.metrics():
             assert _SNAKE_CASE_RE.match(name), name

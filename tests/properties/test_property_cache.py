@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.naive import NaiveBRS
 from repro.functions.coverage import CoverageFunction
 from repro.geometry.point import Point
+from repro.serve.aio import AsyncServeEngine
 from repro.serve.cache import ResultCache
-from repro.serve.executor import ServeEngine
 from repro.serve.model import QueryRequest
 from repro.serve.store import DatasetStore
 
@@ -44,9 +44,9 @@ def instances(draw):
 def _engine(points, labels):
     store = DatasetStore()
     store.add_points("d", points, CoverageFunction(labels), fn_key="coverage")
-    return ServeEngine(
+    return AsyncServeEngine(
         store, cache=ResultCache(64), workers=1, batch_window=0.0
-    )
+    ).start_background()
 
 
 @given(instances())

@@ -1,5 +1,7 @@
 """Property-based invariants of the index substrates."""
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.point import Point
@@ -80,3 +82,42 @@ def test_max_stabbing_achievability(spans):
     for lo, hi in zip(coords, coords[1:]):
         mid = (lo + hi) / 2
         assert sum(1 for l, h in intervals if l < mid < h) <= value
+
+
+def _ulp_steps(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# Ends a few ulps either side of a handful of anchors: intervals that
+# touch, overlap by one float, or hold one float or none at all.
+_anchor = st.sampled_from([-1.0, 0.0, 1e-300, 1.0, 3.0, 1e16])
+_near = st.builds(_ulp_steps, _anchor, st.integers(-3, 3))
+
+
+@given(
+    st.lists(
+        st.tuples(_near, _near, st.integers(0, 3)), min_size=1, max_size=12
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_max_stabbing_matches_bruteforce_over_floats(spans):
+    spans = [(lo, hi, w) for lo, hi, w in spans if lo < hi]
+    intervals = [(lo, hi) for lo, hi, _ in spans]
+    weights = [float(w) for _, _, w in spans]
+    value, x = max_stabbing(intervals, weights)
+
+    def stabbed(at):
+        return sum(w for (lo, hi), w in zip(intervals, weights) if lo < at < hi)
+
+    # The stabbed weight is constant between consecutive half-open ends
+    # (each interval's first float and its upper end), so probing every
+    # end finds the optimum.
+    ends = {math.nextafter(lo, math.inf) for lo, _ in intervals}
+    ends |= {hi for _, hi in intervals}
+    assert value == max([0.0] + [stabbed(end) for end in ends])
+    if x is None:
+        assert value == 0.0
+    else:
+        assert stabbed(x) == value

@@ -21,8 +21,8 @@ from repro.ingest.events import Delete, Insert
 from repro.ingest.live import LiveDataset
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.wal import IngestLog
+from repro.serve.aio import AsyncServeEngine
 from repro.serve.cache import ResultCache
-from repro.serve.executor import ServeEngine
 from repro.serve.model import QueryRequest
 from repro.serve.store import DatasetStore
 
@@ -85,9 +85,9 @@ def _setup(tmp_path_factory, base):
     cache = ResultCache(64)
     points, _, fn = live.snapshot()
     store.add_points("d", points, fn, fn_key="coverage", space=SPACE)
-    engine = ServeEngine(
+    engine = AsyncServeEngine(
         store, cache=cache, workers=1, batch_window=0.0
-    )
+    ).start_background()
     wal = tmp_path_factory.mktemp("ingest") / "wal.jsonl"
     pipe = IngestPipeline(
         live,

@@ -1,21 +1,21 @@
-"""Differential acceptance: threaded vs asyncio servers, byte for byte.
+"""Differential acceptance: HTTP vs in-process answers, byte for byte.
 
-The asyncio tier replaces the threaded server as the default front end,
-so the two must be *observably interchangeable*: an identical query
-stream driven over HTTP through both produces byte-identical
-``canonical_bytes`` responses — the canonical core excludes only the
-envelope timing fields (``seconds``, ``cached``, ``batch_size``), which
-legitimately differ between runs.  This suite is the contract CI pins.
+The HTTP front end must be a transparent shell around the engine: an
+identical query stream driven over HTTP and straight into a separate
+in-process engine produces byte-identical ``canonical_bytes`` responses
+— the canonical core excludes only the envelope timing fields
+(``seconds``, ``cached``, ``batch_size``), which legitimately differ
+between runs.  JSON encoding, decoding, and the protocol envelope may
+not perturb a single field.  This suite is the contract CI pins.
 """
 
 import pytest
 
 from repro.datasets.registry import scalability_dataset
+from repro.runtime.errors import InvalidQueryError
 from repro.serve.aio import AsyncBRSServer, AsyncServeEngine
-from repro.serve.client import ServeClient
-from repro.serve.executor import ServeEngine
+from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.model import QueryRequest
-from repro.serve.server import BRSServer
 from repro.serve.store import DatasetStore
 
 
@@ -31,23 +31,18 @@ def make_store(data):
 
 
 @pytest.fixture()
-def threaded_client(data):
-    engine = ServeEngine(make_store(data), workers=2,
-                         batch_window=0.002)
-    with BRSServer(engine, port=0) as srv:
-        yield ServeClient(srv.url, timeout=30.0)
+def in_process(data):
+    with AsyncServeEngine(make_store(data), workers=2,
+                          batch_window=0.002) as engine:
+        yield engine
 
 
 @pytest.fixture()
-def aio_client(data):
+def http_client(data):
     engine = AsyncServeEngine(make_store(data), workers=2,
                               batch_window=0.002)
-    srv = AsyncBRSServer(engine, port=0)
-    srv.start()
-    try:
+    with AsyncBRSServer(engine, port=0) as srv:
         yield ServeClient(srv.url, timeout=30.0)
-    finally:
-        srv.close()
 
 
 def query_stream():
@@ -66,38 +61,37 @@ def query_stream():
 
 
 class TestDifferential:
-    def test_identical_stream_is_byte_identical(
-        self, threaded_client, aio_client
-    ):
-        threaded = [threaded_client.query(q) for q in query_stream()]
-        asyncio_ = [aio_client.query(q) for q in query_stream()]
-        assert all(r.status == "ok" for r in threaded)
-        for i, (a, b) in enumerate(zip(threaded, asyncio_)):
+    def test_identical_stream_is_byte_identical(self, in_process, http_client):
+        direct = [in_process.query(q, timeout=60) for q in query_stream()]
+        served = [http_client.query(q) for q in query_stream()]
+        assert all(r.status == "ok" for r in direct)
+        assert [r.cached for r in served] == [r.cached for r in direct]
+        for i, (a, b) in enumerate(zip(direct, served)):
             assert a.canonical_bytes() == b.canonical_bytes(), (
                 f"stream position {i} diverged"
             )
 
-    def test_error_paths_agree(self, threaded_client, aio_client):
+    def test_error_paths_agree(self, in_process, http_client):
         bad = QueryRequest(dataset="no-such-dataset", a=1.0, b=1.0)
-        for client in (threaded_client, aio_client):
-            with pytest.raises(Exception):
-                client.query(bad)
+        with pytest.raises(InvalidQueryError, match="unknown dataset"):
+            in_process.query(bad, timeout=60)
+        with pytest.raises(ServeClientError, match="unknown dataset"):
+            http_client.query(bad)
 
-    def test_shared_protocol_surfaces(self, threaded_client, aio_client):
-        for client in (threaded_client, aio_client):
-            assert client.healthy()
-            client.query(QueryRequest(dataset="demo", a=300.0, b=450.0))
-            stats = client.stats()
-            assert "cache" in stats and "queue" in stats
-            assert "brs_serve_requests_total" in client.metrics_text()
+    def test_shared_protocol_surfaces(self, http_client):
+        assert http_client.healthy()
+        http_client.query(QueryRequest(dataset="demo", a=300.0, b=450.0))
+        stats = http_client.stats()
+        assert "cache" in stats and "queue" in stats
+        assert "brs_serve_requests_total" in http_client.metrics_text()
 
     def test_degraded_answers_agree_on_core_fields(
-        self, threaded_client, aio_client
+        self, in_process, http_client
     ):
         # A microsecond deadline forces the past-deadline anytime path
-        # in both engines; the grid answer is deterministic.
+        # on both sides; the grid answer is deterministic.
         probe = QueryRequest(dataset="demo", a=500.0, b=700.0, timeout=1e-6)
-        a = threaded_client.query(probe)
-        b = aio_client.query(probe)
+        a = in_process.query(probe, timeout=60)
+        b = http_client.query(probe)
         assert a.status == b.status == "degraded"
         assert a.canonical_bytes() == b.canonical_bytes()

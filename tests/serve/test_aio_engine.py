@@ -9,7 +9,6 @@ from repro.datasets.registry import scalability_dataset
 from repro.runtime.errors import InvalidQueryError
 from repro.serve.aio.engine import AsyncServeEngine
 from repro.serve.cache import ResultCache
-from repro.serve.executor import ServeEngine
 from repro.serve.model import QueryRequest
 from repro.serve.pressure import PressurePolicy
 from repro.serve.store import DatasetStore
@@ -47,15 +46,6 @@ class TestExactness:
         assert resp.status == "ok"
         direct = SliceBRS().solve(data.points, data.score_function(), a, b)
         assert resp.score == pytest.approx(direct.score, abs=1e-9)
-
-    def test_matches_threaded_engine_bytes(self, data):
-        request = QueryRequest(dataset="demo", a=8.0, b=12.0)
-        with ServeEngine(make_store(data), workers=2) as threaded:
-            want = threaded.query(request, timeout=60).canonical_bytes()
-        eng = AsyncServeEngine(make_store(data), workers=2)
-        with eng:
-            got = eng.query(request, timeout=60).canonical_bytes()
-        assert got == want
 
 
 class TestCacheAndCoalescing:
@@ -125,29 +115,58 @@ class TestTenancy:
 
 class TestPressureShedding:
     def test_shed_answers_carry_sound_upper_bounds(self, data):
-        # Near-zero thresholds: a single queued item (backlog ratio
-        # 1/64) already counts as overload, so every dispatch cycle runs
-        # at the grid rung — shedding is deterministic, not
-        # load-dependent.
+        # Near-zero thresholds: one query left queued (backlog ratio
+        # 1/64) already counts as overload.  A burst of distinct
+        # rectangles wider than the dispatch throttle (workers + 2
+        # batches) inside one batch window leaves a backlog behind the
+        # first cycle, so that cycle's batches run at the grid rung.
         policy = PressurePolicy(
             enter_shedding=0.001, exit_shedding=0.0005,
             enter_overload=0.002, exit_overload=0.0015,
         )
+        sizes = [(8.0 + i, 12.0 + i) for i in range(8)]
         eng = AsyncServeEngine(
-            make_store(data), pressure=policy, workers=2, batch_window=0.002
+            make_store(data), pressure=policy, workers=2, batch_window=0.2
         )
         with eng:
+            futures = [
+                eng.submit_threadsafe(QueryRequest(dataset="demo", a=a, b=b))
+                for a, b in sizes
+            ]
+            responses = [f.result(timeout=60) for f in futures]
+        shed = [
+            (size, resp) for size, resp in zip(sizes, responses)
+            if resp.status == "degraded"
+        ]
+        assert shed
+        for (a, b), resp in shed:
+            assert resp.solver_status == "gridscan"
+            assert resp.upper_bound is not None
+            direct = SliceBRS().solve(
+                data.points, data.score_function(), a, b
+            )
+            assert resp.upper_bound >= direct.score - 1e-9
+            assert resp.score <= direct.score + 1e-9
+
+    def test_lone_query_at_capacity_one_is_exact(self, store):
+        # A query handed to an idle worker is not backlog: pressure sees
+        # only what a scheduling cycle leaves queued.
+        with AsyncServeEngine(store, workers=2, queue_capacity=1) as eng:
             resp = eng.query(
                 QueryRequest(dataset="demo", a=8.0, b=12.0), timeout=60
             )
-        assert resp.status == "degraded"
-        assert resp.solver_status == "gridscan"
-        assert resp.upper_bound is not None
-        direct = SliceBRS().solve(
-            data.points, data.score_function(), 8.0, 12.0
-        )
-        assert resp.upper_bound >= direct.score - 1e-9
-        assert resp.score <= direct.score + 1e-9
+        assert resp.status == "ok"
+        assert eng.pressure_snapshot()["level"] == 0
+
+    def test_burst_within_capacity_is_all_exact(self, store):
+        requests = [
+            QueryRequest(dataset="demo", a=4.0 + i, b=6.0 + i)
+            for i in range(6)
+        ]
+        with AsyncServeEngine(store, workers=2, queue_capacity=6) as eng:
+            futures = [eng.submit_threadsafe(req) for req in requests]
+            responses = [f.result(timeout=60) for f in futures]
+        assert [r.status for r in responses] == ["ok"] * 6
 
 
 class TestLifecycleAndStats:

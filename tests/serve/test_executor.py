@@ -1,4 +1,5 @@
-"""Engine tests: exactness, caching, dedup, deadlines, backpressure."""
+"""Engine request-path tests: exactness, caching, dedup, deadlines,
+backpressure (tenancy, pressure and lifecycle are in test_aio_engine)."""
 
 import math
 
@@ -9,8 +10,7 @@ from repro.core.slicebrs import SliceBRS
 from repro.datasets.registry import scalability_dataset
 from repro.functions.reduced import reduce_over_cover
 from repro.runtime.errors import InvalidQueryError
-from repro.serve.cache import ResultCache
-from repro.serve.executor import ServeEngine
+from repro.serve.aio import AsyncServeEngine
 from repro.serve.model import QueryRequest
 from repro.serve.store import DatasetStore
 
@@ -29,9 +29,8 @@ def store(data):
 
 @pytest.fixture()
 def engine(store):
-    eng = ServeEngine(store, workers=2, batch_window=0.002)
-    yield eng
-    eng.close()
+    with AsyncServeEngine(store, workers=2, batch_window=0.002) as eng:
+        yield eng
 
 
 class TestExactness:
@@ -111,61 +110,65 @@ class TestDedupAndBatching:
     def test_identical_inflight_queries_solved_once(self, store):
         # A wide batch window keeps the dispatcher asleep while all the
         # duplicates arrive, making the dedup count deterministic.
-        eng = ServeEngine(store, workers=1, batch_window=0.2)
-        try:
+        eng = AsyncServeEngine(store, workers=1, batch_window=0.2)
+        with eng:
             req = QueryRequest(dataset="demo", a=5.0, b=8.0)
-            futures = [eng.submit(req) for _ in range(8)]
+            futures = [eng.submit_threadsafe(req) for _ in range(8)]
             responses = [f.result(timeout=60) for f in futures]
             assert all(r.status == "ok" for r in responses)
             assert len({r.canonical_bytes() for r in responses}) == 1
             snap = eng.registry.snapshot()
             assert snap["brs_serve_spec_solves_total"]["value"] == 1
             assert snap["brs_serve_dedup_joins_total"]["value"] == 7
-        finally:
-            eng.close()
 
     def test_compatible_queries_share_a_batch(self, store):
-        eng = ServeEngine(store, workers=1, batch_window=0.2)
-        try:
+        eng = AsyncServeEngine(store, workers=1, batch_window=0.2)
+        with eng:
             plain = QueryRequest(dataset="demo", a=5.0, b=8.0)
             focused = QueryRequest(
                 dataset="demo", a=5.0, b=8.0, focus=(0.0, 5000.0, 0.0, 5000.0)
             )
-            futures = [eng.submit(plain), eng.submit(focused)]
+            futures = [
+                eng.submit_threadsafe(plain), eng.submit_threadsafe(focused)
+            ]
             responses = [f.result(timeout=60) for f in futures]
             assert all(r.status == "ok" for r in responses)
             assert [r.batch_size for r in responses] == [2, 2]
             assert eng.registry.snapshot()["brs_serve_batches_total"]["value"] == 1
-        finally:
-            eng.close()
 
 
 class TestBackpressure:
     def test_overflow_is_rejected_not_queued(self, store):
-        eng = ServeEngine(store, workers=1, queue_capacity=1, batch_window=0.3)
-        try:
-            held = eng.submit(QueryRequest(dataset="demo", a=5.0, b=8.0))
-            overflow = eng.submit(QueryRequest(dataset="demo", a=6.0, b=9.0))
+        eng = AsyncServeEngine(
+            store, workers=1, queue_capacity=1, batch_window=0.3
+        )
+        with eng:
+            held = eng.submit_threadsafe(
+                QueryRequest(dataset="demo", a=5.0, b=8.0)
+            )
+            overflow = eng.submit_threadsafe(
+                QueryRequest(dataset="demo", a=6.0, b=9.0)
+            )
             rejected = overflow.result(timeout=5)
             assert rejected.status == "rejected"
-            assert "admission queue full" in (rejected.error or "")
+            assert "serve capacity exhausted" in (rejected.error or "")
             assert held.result(timeout=60).status == "ok"
             snap = eng.registry.snapshot()
-            assert snap["brs_serve_rejected_total"]["value"] == 1
-        finally:
-            eng.close()
+            assert snap["brs_tenant_rejected_total"]["value"] == 1
 
     def test_cache_hits_bypass_admission(self, store):
-        eng = ServeEngine(store, workers=1, queue_capacity=1, batch_window=0.3)
-        try:
+        eng = AsyncServeEngine(
+            store, workers=1, queue_capacity=1, batch_window=0.3
+        )
+        with eng:
             warm = QueryRequest(dataset="demo", a=4.0, b=6.0)
             eng.query(warm, timeout=60)
-            held = eng.submit(QueryRequest(dataset="demo", a=5.0, b=8.0))
-            hit = eng.query(warm, timeout=5)  # full queue must not matter
+            held = eng.submit_threadsafe(
+                QueryRequest(dataset="demo", a=5.0, b=8.0)
+            )
+            hit = eng.query(warm, timeout=5)  # full capacity must not matter
             assert hit.cached and hit.status == "ok"
             assert held.result(timeout=60).status == "ok"
-        finally:
-            eng.close()
 
 
 class TestDeadlines:
@@ -194,12 +197,12 @@ class TestDeadlines:
 class TestFailures:
     def test_unknown_dataset_raises_synchronously(self, engine):
         with pytest.raises(InvalidQueryError, match="unknown dataset"):
-            engine.submit(QueryRequest(dataset="nope", a=1.0, b=1.0))
+            engine.submit_threadsafe(QueryRequest(dataset="nope", a=1.0, b=1.0))
 
     def test_empty_focus_is_a_client_error(self, engine):
         """A focus window holding no objects is rejected at submit."""
         with pytest.raises(InvalidQueryError, match="no objects"):
-            engine.submit(
+            engine.submit_threadsafe(
                 QueryRequest(
                     dataset="demo", a=5.0, b=8.0,
                     focus=(-10.0, -9.0, -10.0, -9.0),
@@ -207,10 +210,10 @@ class TestFailures:
             )
 
     def test_closed_engine_refuses_work(self, store):
-        eng = ServeEngine(store)
+        eng = AsyncServeEngine(store).start_background()
         eng.close()
         with pytest.raises(RuntimeError):
-            eng.submit(QueryRequest(dataset="demo", a=1.0, b=1.0))
+            eng.submit_threadsafe(QueryRequest(dataset="demo", a=1.0, b=1.0))
 
     def test_stats_shape(self, engine):
         engine.query(QueryRequest(dataset="demo", a=5.0, b=8.0), timeout=60)

@@ -1,6 +1,8 @@
 """End-to-end tests of the HTTP front end and its client."""
 
 import json
+import signal
+import threading
 import urllib.error
 import urllib.request
 
@@ -8,10 +10,15 @@ import pytest
 
 from repro.core.slicebrs import SliceBRS
 from repro.datasets.registry import scalability_dataset
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.ingest.events import Insert
+from repro.ingest.live import LiveDataset
+from repro.ingest.pipeline import IngestPipeline
+from repro.ingest.wal import IngestLog, read_log
+from repro.serve.aio import AsyncBRSServer, AsyncServeEngine
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.executor import ServeEngine
 from repro.serve.model import QueryRequest
-from repro.serve.server import BRSServer
 from repro.serve.store import DatasetStore
 
 
@@ -24,8 +31,8 @@ def data():
 def server(data):
     store = DatasetStore()
     store.add_dataset("demo", data)
-    engine = ServeEngine(store, workers=2, batch_window=0.002)
-    with BRSServer(engine, port=0) as srv:
+    engine = AsyncServeEngine(store, workers=2, batch_window=0.002)
+    with AsyncBRSServer(engine, port=0) as srv:
         yield srv
 
 
@@ -89,12 +96,14 @@ class TestQueryEndpoint:
     def test_rejected_query_is_http_429(self, data):
         store = DatasetStore()
         store.add_dataset("demo", data)
-        engine = ServeEngine(
+        engine = AsyncServeEngine(
             store, workers=1, queue_capacity=1, batch_window=0.4
         )
-        with BRSServer(engine, port=0) as srv:
+        with AsyncBRSServer(engine, port=0) as srv:
             c = ServeClient(srv.url, timeout=30.0)
-            held = engine.submit(QueryRequest(dataset="demo", a=210.0, b=330.0))
+            held = engine.submit_threadsafe(
+                QueryRequest(dataset="demo", a=210.0, b=330.0)
+            )
             req = urllib.request.Request(
                 srv.url + "/v1/query",
                 data=json.dumps({"dataset": "demo", "a": 10.0, "b": 16.0}).encode(),
@@ -159,3 +168,55 @@ class TestOperationalEndpoints:
         assert not client.healthy()
         with pytest.raises(ServeClientError):
             client.stats()
+
+
+class TestGracefulShutdown:
+    def test_sigterm_flushes_attached_pipelines_before_the_engine(
+        self, tmp_path
+    ):
+        space = Rect(0.0, 10.0, 0.0, 10.0)
+        live = LiveDataset(
+            [Point(1.0 + i, 2.0 + i) for i in range(6)],
+            [[i % 3] for i in range(6)],
+            space=space,
+        )
+        store = DatasetStore()
+        points, _, fn = live.snapshot()
+        store.add_points("d", points, fn, fn_key="coverage", space=space)
+        engine = AsyncServeEngine(store, workers=1)
+        server = AsyncBRSServer(engine, port=0).start()
+        client = ServeClient(server.url, timeout=10.0)
+        pipe = IngestPipeline(
+            live, IngestLog(tmp_path / "wal.jsonl"), store=store,
+            cache=engine.cache, dataset_id="d", background=True,
+        )
+        server.attach_pipeline(pipe)
+        ids = [
+            pipe.append([Insert(2.0 + 0.1 * i, 3.0, payload=[i % 3])]).batch_id
+            for i in range(20)
+        ]
+        # Whether the server still answered when the log closed.
+        serving_at_log_close = []
+        close_log = pipe.log.close
+
+        def observed_close_log():
+            serving_at_log_close.append(client.healthy())
+            close_log()
+
+        pipe.log.close = observed_close_log
+        # No signums: nothing is installed; the test fires the handler,
+        # which runs close() on its own thread as SIGTERM would.
+        handler = server.install_signal_handlers(signums=())
+        handler(signal.SIGTERM, None)
+        for thread in threading.enumerate():
+            if thread.name == "brs-aio-shutdown":
+                thread.join(timeout=30.0)
+
+        assert serving_at_log_close == [True]
+        assert all(pipe.batch_status(b).state == "visible" for b in ids)
+        assert pipe.status()["states"]["pending"] == 0
+        replay = read_log(tmp_path / "wal.jsonl")
+        assert [rb.state for rb in replay.batches] == ["applied"] * len(ids)
+        assert not client.healthy()
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.submit_threadsafe(QueryRequest(dataset="d", a=1.0, b=1.0))

@@ -1,8 +1,8 @@
-"""Tests for in-flight dedup and compatibility grouping."""
+"""Tests for in-flight dedup, compatibility grouping, and the capacity."""
 
-from repro.serve.admission import AdmissionController
 from repro.serve.model import normalize_query
 from repro.serve.planner import BatchPlanner
+from repro.serve.tenancy import TenantAdmission, TenantRegistry
 
 import pytest
 
@@ -26,15 +26,14 @@ class TestDedup:
     def test_duplicate_joins_an_executing_query(self):
         planner = BatchPlanner()
         first, _ = planner.submit(_key(), None)
-        planner.drain()  # dispatched, no longer pending — but still live
-        assert planner.pending_count() == 0
+        # Dispatch never touches the planner: the entry stays live while
+        # it executes, until finish().
         late, is_new = planner.submit(_key(), None)
         assert late is first and not is_new
 
     def test_finish_retires_the_key(self):
         planner = BatchPlanner()
         first, _ = planner.submit(_key(), None)
-        planner.drain()
         planner.finish(first)
         assert planner.inflight_count() == 0
         again, is_new = planner.submit(_key(), None)
@@ -42,45 +41,36 @@ class TestDedup:
 
 
 class TestGrouping:
+    """The engine scheduler batches queued queries by ``group_key``."""
+
     def test_same_size_same_dataset_groups_together(self):
-        planner = BatchPlanner()
-        planner.submit(_key(focus=None), None)
-        planner.submit(_key(focus=(0.0, 5.0, 0.0, 5.0)), None)
-        planner.submit(_key(a=9.0), None)
-        groups = planner.drain()
-        assert sorted(len(g) for g in groups) == [1, 2]
+        plain = _key(focus=None).group_key
+        assert _key(focus=(0.0, 5.0, 0.0, 5.0)).group_key == plain
+        assert _key(a=9.0).group_key != plain
 
     def test_versions_never_share_a_group(self):
-        planner = BatchPlanner()
-        planner.submit(_key(version=1), None)
-        planner.submit(_key(version=2), None)
-        assert len(planner.drain()) == 2
-
-    def test_drain_clears_pending(self):
-        planner = BatchPlanner()
-        planner.submit(_key(), None)
-        assert planner.pending_count() == 1
-        planner.drain()
-        assert planner.drain() == []
+        assert _key(version=1).group_key != _key(version=2).group_key
 
 
 class TestAdmission:
+    """The engine's global open-query capacity, tenants aside."""
+
     def test_rejects_beyond_capacity(self):
-        control = AdmissionController(2)
-        control.admit()
-        control.admit()
+        control = TenantAdmission(TenantRegistry(), capacity=2)
+        control.admit(None)
+        control.admit(None)
         with pytest.raises(AdmissionRejectedError) as excinfo:
-            control.admit()
+            control.admit(None)
         assert excinfo.value.queue_depth == 2
         assert excinfo.value.capacity == 2
 
     def test_release_reopens_a_slot(self):
-        control = AdmissionController(1)
-        control.admit()
-        control.release()
-        control.admit()  # must not raise
-        assert control.open_count == 1
+        control = TenantAdmission(TenantRegistry(), capacity=1)
+        control.admit(None)
+        control.release(None)
+        control.admit(None)  # must not raise
+        assert control.open_total == 1
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            AdmissionController(0)
+            TenantAdmission(TenantRegistry(), capacity=0)

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import pytest
 
+from concurrent.futures import ThreadPoolExecutor
+
 from repro.datasets.registry import scalability_dataset
 from repro.obs.trace import Tracer, span_tree, trace_scope
+from repro.serve.aio import AsyncBRSServer, AsyncServeEngine
 from repro.serve.client import ServeClient
-from repro.serve.executor import ServeEngine
 from repro.serve.model import QueryRequest
-from repro.serve.server import BRSServer
 from repro.serve.store import DatasetStore
 
 
-@pytest.fixture()
-def served_engine():
+def _serve(batch_window):
     data = scalability_dataset(100, seed=9)
     store = DatasetStore()
     store.add_dataset("demo", data)
@@ -29,10 +29,16 @@ def served_engine():
     # scope uses, so the merged stream is directly assertable.
     events = []
     tracer = Tracer(events)
-    engine = ServeEngine(
-        store, workers=2, batch_window=0.002, tracer=tracer
+    engine = AsyncServeEngine(
+        store, workers=2, batch_window=batch_window, tracer=tracer
     )
-    with BRSServer(engine, port=0) as server:
+    return AsyncBRSServer(engine, port=0), tracer, events
+
+
+@pytest.fixture()
+def served_engine():
+    server, tracer, events = _serve(batch_window=0.002)
+    with server:
         yield server, tracer, events
 
 
@@ -99,6 +105,45 @@ class TestHttpTracePropagation:
         roots = [i for i in tree.get(None, []) if name_of[i] == "server.request"]
         assert roots, "server.request should be a root without a client span"
 
+    @pytest.mark.parametrize("traced_clients", [False, True])
+    def test_concurrent_requests_get_their_own_trees(self, traced_clients):
+        # Every connection shares the server's event-loop thread; a wide
+        # batch window keeps all the requests open at once there.
+        server, tracer, events = _serve(batch_window=0.2)
+        requests = [
+            QueryRequest(dataset="demo", a=1.0 + 0.25 * i, b=1.5)
+            for i in range(8)
+        ]
+
+        def ask(request):
+            client = ServeClient(server.url, timeout=30.0)
+            if not traced_clients:
+                return client.query(request)
+            with trace_scope(tracer):
+                return client.query(request)
+
+        with server, ThreadPoolExecutor(max_workers=len(requests)) as pool:
+            responses = list(pool.map(ask, requests))
+        assert all(r.status == "ok" for r in responses)
+        tree, name_of = _tree_and_names(events)
+        parent_of = {
+            child: parent for parent, children in tree.items()
+            for child in children
+        }
+        handled = [i for i in name_of if name_of[i] == "server.request"]
+        assert len(handled) == len(requests)
+        for span_id in handled:
+            parent = parent_of[span_id]
+            if traced_clients:
+                assert name_of[parent] == "client.query"
+            else:
+                assert parent is None
+            below = [name_of[c] for c in tree.get(span_id, [])]
+            assert below == ["serve.query"]
+        if traced_clients:
+            # Each client span holds exactly one server span.
+            assert len({parent_of[i] for i in handled}) == len(requests)
+
     def test_malformed_trace_header_is_ignored(self, served_engine):
         server, tracer, events = served_engine
         client = ServeClient(server.url, timeout=30.0)
@@ -117,7 +162,7 @@ class TestServeGauges:
         client.query(QueryRequest(dataset="demo", a=2.0, b=2.0))
         registry = server.engine.registry
         assert registry.gauge("brs_serve_inflight").value == 0.0
-        assert registry.gauge("brs_serve_queue_depth").value == 0.0
+        assert registry.gauge("brs_tenant_open").value == 0.0
 
     def test_metrics_exposition_has_slo_and_inflight(self, served_engine):
         server, tracer, events = served_engine
@@ -126,7 +171,7 @@ class TestServeGauges:
         text = client.metrics_text()
         for name in (
             "brs_serve_inflight",
-            "brs_serve_queue_depth",
+            "brs_tenant_open",
             "brs_slo_p50_seconds",
             "brs_slo_p99_seconds",
             "brs_slo_error_budget_burn",
