@@ -26,7 +26,6 @@ solver kernels).
 from repro.columnar import (
     ColumnarDataset,
     columnar_best_region,
-    columnar_grid_scan,
     columnar_oe_maxrs,
     columnar_slicebrs,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "budget_scope",
     "coarse_grid_scan",
     "columnar_best_region",
-    "columnar_grid_scan",
     "columnar_oe_maxrs",
     "columnar_slicebrs",
     "metrics_scope",

@@ -225,8 +225,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_capacity=args.queue_capacity,
         default_timeout=args.default_timeout,
-        backend=args.backend,
-        process_workers=args.process_workers,
     )
     server = AsyncBRSServer(engine, host=args.host, port=args.port)
     # Bind on the background loop first so the real URL (ephemeral
@@ -608,15 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--default-timeout", type=float, default=None, dest="default_timeout",
         help="per-query deadline in seconds for requests without their own",
-    )
-    serve.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="exact-solve backend: in the worker thread, or the "
-             "multiprocessing shard backend for large unfocused queries",
-    )
-    serve.add_argument(
-        "--process-workers", type=int, default=2, dest="process_workers",
-        help="pool size for --backend process",
     )
     serve.add_argument(
         "--tenants", default=None, metavar="PATH",

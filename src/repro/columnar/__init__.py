@@ -12,9 +12,6 @@ and rewrites the solver inner loops as vectorized sweeps:
 * :func:`~repro.columnar.solvers.columnar_oe_maxrs` — the exact MaxRS
   pass, replacing the per-edge segment-tree loop with a prefix-sum sweep
   over maximal slabs;
-* :func:`~repro.columnar.gridscan.columnar_grid_scan` — the degradation
-  ladder's grid scan with vectorized binning and batched score
-  evaluation (:meth:`~repro.functions.base.SetFunction.batch_value`);
 * :class:`~repro.columnar.rangecount.SortedRangeCounter` —
   ``searchsorted``-based rectangular range counting over the sorted
   coordinate views.
@@ -58,7 +55,6 @@ def _check_numpy_floor() -> None:
 _check_numpy_floor()
 
 from repro.columnar.dataset import ColumnarDataset
-from repro.columnar.gridscan import columnar_grid_scan
 from repro.columnar.rangecount import SortedRangeCounter
 from repro.columnar.solvers import (
     columnar_best_region,
@@ -71,7 +67,6 @@ __all__ = [
     "NUMPY_FLOOR",
     "SortedRangeCounter",
     "columnar_best_region",
-    "columnar_grid_scan",
     "columnar_oe_maxrs",
     "columnar_slicebrs",
 ]

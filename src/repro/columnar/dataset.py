@@ -273,15 +273,23 @@ class ColumnarDataset:
         inside = np.sort(inside)
         return [int(i) for i in inside]
 
+    def ids_in_rect(
+        self, x_min: float, x_max: float, y_min: float, y_max: float
+    ) -> np.ndarray:
+        """Ids strictly inside the open rectangle, ascending.
+
+        The one open-window lookup: the serve tier's focus filter and
+        :meth:`count_in_rect` both read it.
+        """
+        cand = self.slab_x(x_min, x_max)
+        ys = self.ys[cand]
+        return np.sort(cand[(ys > y_min) & (ys < y_max)])
+
     def count_in_rect(
         self, x_min: float, x_max: float, y_min: float, y_max: float
     ) -> int:
         """Count objects strictly inside the open rectangle."""
-        cand = self.slab_x(x_min, x_max)
-        if cand.size == 0:
-            return 0
-        ys = self.ys[cand]
-        return int(np.count_nonzero((ys > y_min) & (ys < y_max)))
+        return int(self.ids_in_rect(x_min, x_max, y_min, y_max).size)
 
     # -- interop ---------------------------------------------------------
 

@@ -258,52 +258,3 @@ def assign_slices(
     return SliceAssignment(
         row_ids, slice_ids, clipped_lo, clipped_hi, starts, n_slices
     )
-
-
-def grid_cells(
-    xs: np.ndarray, ys: np.ndarray, cell_w: float, cell_h: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized grid binning for the coarse grid scan.
-
-    Snaps objects to the ``cell_w x cell_h`` grid anchored at the data
-    minimum (matching :func:`repro.core.gridscan.coarse_grid_scan`) and
-    returns the occupied cells ordered by descending population, ties
-    broken by first occurrence — the order ``Counter.most_common`` yields
-    for insertion-ordered counts.
-
-    Returns:
-        ``(cell_xy, order_members, member_starts, cell_order)`` where
-        ``cell_xy`` is an ``(n_cells, 2)`` int array of occupied cell
-        coordinates (in first-occurrence order), ``order_members`` holds
-        object ids grouped by cell, ``member_starts`` delimits cell ``j``'s
-        members as ``order_members[member_starts[j]:member_starts[j+1]]``,
-        and ``cell_order`` walks cells in scan (population) order.
-    """
-    x0 = float(xs.min())
-    y0 = float(ys.min())
-    ix = ((xs - x0) // cell_w).astype(np.int64)
-    iy = ((ys - y0) // cell_h).astype(np.int64)
-    pairs = np.stack((ix, iy), axis=1)
-    uniq, first_pos, inverse, counts = np.unique(
-        pairs, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    inverse = inverse.reshape(-1)
-    # Re-rank cells by first occurrence so downstream order matches the
-    # object path's insertion-ordered Counter.
-    appearance = np.argsort(first_pos, kind="stable")
-    rank_of_uniq = np.empty_like(appearance)
-    rank_of_uniq[appearance] = np.arange(appearance.size)
-    cell_of_obj = rank_of_uniq[inverse]
-    cell_xy = uniq[appearance]
-    cell_counts = counts[appearance]
-
-    member_order = np.argsort(cell_of_obj, kind="stable")
-    member_starts = np.concatenate(
-        (
-            np.zeros(1, dtype=np.int64),
-            np.cumsum(np.bincount(cell_of_obj, minlength=appearance.size)),
-        )
-    )
-    # Population-descending with first-occurrence tie-break == most_common.
-    cell_order = np.lexsort((np.arange(appearance.size), -cell_counts))
-    return cell_xy, member_order, member_starts, cell_order

@@ -1,6 +1,9 @@
 """Core BRS algorithms: the paper's primary contribution.
 
 * :func:`~repro.core.brs.best_region` — one-call solver façade.
+* :func:`~repro.core.brs.solve` — the one degradation ladder (exact →
+  cover → grid) that ``best_region``, :class:`ExplorationSession` and the
+  serve tier share.
 * :class:`~repro.core.slicebrs.SliceBRS` — exact algorithm (Section 4).
 * :class:`~repro.core.coverbrs.CoverBRS` — constant-factor approximation
   (Section 5).

@@ -1,20 +1,33 @@
-"""High-level entry point for best-region search.
+"""High-level entry points for best-region search.
 
-Besides dispatching to a solver, :func:`best_region` owns the two
-production-facing behaviours the individual solvers stay agnostic of:
+:func:`solve` is the one degradation ladder every caller shares —
+:func:`best_region`, :class:`~repro.core.session.ExplorationSession` and
+the serve tier's :class:`~repro.serve.solvecore.QuerySolver`.  It starts
+at the requested rung of exact → cover → grid:
 
-* **Input validation** — malformed queries fail fast with
-  :class:`~repro.runtime.errors.InvalidQueryError` before any search work.
-* **Graceful degradation** — under an execution budget the exact method is
-  only the first rung of a ladder (SliceBRS → CoverBRS → coarse grid scan);
-  each fallback inherits what the previous rung left over, so a deadline
-  yields the best answer *some* method could finish, never an exception.
+* **exact** — SliceBRS; on the columnar plane when the caller hands in
+  columns (:func:`~repro.columnar.solvers.columnar_best_region`: the
+  vectorized kernel for SUM scores, a counted object-path fallback for
+  everything else);
+* **cover** — CoverBRS, a certified constant-factor approximation
+  (Theorem 4 for ``c = 1/3``);
+* **grid** — :func:`~repro.core.gridscan.coarse_grid_scan`, near-linear
+  and anytime.
+
+Under an execution budget each non-final rung gets
+:data:`LADDER_FRACTION` of what is left, and each later rung inherits the
+remainder, so a deadline yields the best answer *some* rung could finish,
+never an exception.
+
+:func:`best_region` also owns input validation: malformed queries fail
+fast with :class:`~repro.runtime.errors.InvalidQueryError` before any
+search work.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.coverbrs import CoverBRS
 from repro.core.gridscan import coarse_grid_scan
@@ -23,13 +36,22 @@ from repro.core.result import BRSResult, merge_anytime
 from repro.core.slicebrs import SliceBRS
 from repro.functions.base import SetFunction
 from repro.geometry.point import Point
+from repro.index.quadtree import Quadtree
 from repro.obs.metrics import active_registry
 from repro.obs.trace import active_tracer
 from repro.runtime.budget import Budget, effective_budget
 from repro.runtime.errors import InvalidQueryError
 
-#: Method name -> factory; kwargs are forwarded to the solver constructor.
 _METHODS = ("slice", "cover", "naive", "columnar")
+
+#: Full-quality rung: one exact solve.
+RUNG_EXACT = "exact"
+#: First fallback rung: a certified cover approximation.
+RUNG_COVER = "cover"
+#: Last rung: the coarse grid scan.
+RUNG_GRID = "grid"
+#: All rungs, best quality first (the order the ladder walks).
+RUNGS = (RUNG_EXACT, RUNG_COVER, RUNG_GRID)
 
 #: Fraction of the remaining budget each non-final ladder rung may spend.
 LADDER_FRACTION = 0.6
@@ -55,57 +77,118 @@ def _validate_query(points: Sequence[Point], a: float, b: float) -> None:
             )
 
 
-def _ladder(
+def solve(
     points: Sequence[Point],
     f: SetFunction,
     a: float,
     b: float,
-    theta: float,
-    c: float,
-    validate: bool,
-    budget: Budget,
+    *,
+    rung: str = RUNG_EXACT,
+    budget: Optional[Budget] = None,
+    theta: float = 1.0,
+    c: float = 1.0 / 3.0,
+    quadtree: Optional[Quadtree] = None,
+    columns: Any = None,
 ) -> BRSResult:
-    """Exact → approximate → grid scan, each rung on the remaining budget."""
+    """Answer one query on the ladder, starting at ``rung``.
+
+    Without a budget (or with an unlimited one) the starting rung runs to
+    completion and its answer comes back as is.  Under a budget each
+    non-final rung gets :data:`LADDER_FRACTION` of what is left, a
+    non-final rung is skipped when the budget has already expired, and
+    the answers are folded with
+    :func:`~repro.core.result.merge_anytime`.  The walk stops at the first
+    rung that completes.
+
+    Args:
+        points: object locations; object ids are positions here.
+        f: submodular monotone score over those ids.
+        a: query-rectangle height.
+        b: query-rectangle width.
+        rung: where to start: :data:`RUNG_EXACT`, :data:`RUNG_COVER` or
+            :data:`RUNG_GRID`.
+        budget: optional execution budget (falls back to the ambient
+            :func:`~repro.runtime.budget.budget_scope`).
+        theta: slice width as a multiple of ``b``.
+        c: cover parameter of the cover rung.
+        quadtree: a pre-built index over ``points`` the cover rung reuses.
+        columns: the same objects in a form
+            :func:`~repro.columnar.dataset.as_columnar` accepts (a served
+            entry with cached columns, or ``points`` itself).  Given, the
+            exact rung runs :func:`~repro.columnar.solvers.columnar_best_region`
+            on it; without it, object-path SliceBRS on ``points``, whose
+            center can differ from the kernel's among equal-scoring ones.
+
+    Returns:
+        The merged answer.  ``rung`` names the rung whose region it is.
+        ``status`` is ``"ok"`` when the starting rung completed,
+        ``"degraded"`` when a later rung did, ``"timeout"`` otherwise.
+        Every answer but a completed exact one carries an
+        ``upper_bound`` (``f`` of all objects when no rung supplied one).
+
+    Raises:
+        InvalidQueryError: on an unknown rung, or an invalid instance or
+            parameter (raised by the rung that meets it).
+    """
+    if rung not in RUNGS:
+        raise InvalidQueryError(f"unknown ladder rung {rung!r}")
+    budget = effective_budget(budget)
     tracer = active_tracer()
     registry = active_registry()
-    tracer.event("ladder.rung", rung="slice")
-    exact = SliceBRS(theta=theta, validate=validate).solve(
-        points, f, a, b, budget=budget.sub(time_fraction=LADDER_FRACTION,
-                                           eval_fraction=LADDER_FRACTION)
-    )
-    if exact.status == "ok":
-        return exact
+    result: Optional[BRSResult] = None
+    with tracer.span("ladder.solve", rung=rung, n_objects=len(points)):
+        for step in RUNGS[RUNGS.index(rung):]:
+            final = step == RUNG_GRID
+            if budget is not None and not final and budget.expired():
+                tracer.event("ladder.skip", rung=step)
+                continue
+            best = result.score if result is not None else 0.0
+            tracer.event("ladder.rung", rung=step, best_so_far=best)
+            if step != rung and registry.enabled:
+                registry.counter(
+                    "brs_ladder_fallbacks_total",
+                    help="degradation-ladder fallbacks taken (rungs after the first)",
+                ).inc()
+            sub = None
+            if budget is not None:
+                share = 1.0 if final else LADDER_FRACTION
+                sub = budget.sub(time_fraction=share, eval_fraction=share)
+            if step == RUNG_EXACT and columns is None:
+                answer = SliceBRS(theta=theta).solve(
+                    points, f, a, b, budget=sub
+                )
+            elif step == RUNG_EXACT:
+                # Resolved per call: repro.columnar imports repro.core at
+                # load time.
+                from repro.columnar.solvers import columnar_best_region
 
-    if registry.enabled:
-        registry.counter(
-            "brs_ladder_fallbacks_total",
-            help="degradation-ladder fallbacks taken (rungs after the first)",
-        ).inc()
-    tracer.event("ladder.rung", rung="cover", best_so_far=exact.score)
-    cover = CoverBRS(c=c, theta=theta).solve(
-        points, f, a, b,
-        budget=budget.sub(time_fraction=LADDER_FRACTION,
-                          eval_fraction=LADDER_FRACTION),
-    )
-    if cover.status == "ok":
-        # The fallback finished: a complete (approximate) answer under
-        # deadline pressure is "degraded", not "timeout".
-        result = merge_anytime(exact, cover, status="degraded")
-    else:
-        merged = merge_anytime(exact, cover)
-        if registry.enabled:
-            registry.counter(
-                "brs_ladder_fallbacks_total",
-                help="degradation-ladder fallbacks taken (rungs after the first)",
-            ).inc()
-        tracer.event("ladder.rung", rung="grid", best_so_far=merged.score)
-        grid = coarse_grid_scan(
-            points, f, a, b, budget=budget.sub(), initial_best=merged.score
-        )
-        result = merge_anytime(
-            merged, grid,
-            status="degraded" if grid.status == "degraded" else "timeout",
-        )
+                answer = columnar_best_region(
+                    columns, f, a, b, theta=theta, budget=sub
+                )
+            elif step == RUNG_COVER:
+                answer = CoverBRS(c=c, theta=theta).solve(
+                    points, f, a, b, quadtree=quadtree, budget=sub
+                )
+            else:
+                answer = coarse_grid_scan(
+                    points, f, a, b, budget=sub, initial_best=best
+                )
+            answer.rung = step
+            # The grid scan's complete answer is "degraded" by contract.
+            done = answer.status == ("degraded" if final else "ok")
+            if result is None:
+                result = answer
+            else:
+                result = merge_anytime(
+                    result, answer, status="degraded" if done else "timeout"
+                )
+            if done:
+                break
+    assert result is not None  # the grid rung always runs
+    if result.upper_bound is None and not (
+        result.rung == RUNG_EXACT and result.status == "ok"
+    ):
+        result.upper_bound = max(result.score, f.value(range(len(points))))
     if registry.enabled and result.status != "ok":
         registry.counter(
             "brs_degraded_results_total",
@@ -122,9 +205,7 @@ def best_region(
     method: str = "slice",
     theta: float = 1.0,
     c: Optional[float] = None,
-    validate: bool = False,
     budget: Optional[Budget] = None,
-    degrade: bool = True,
 ) -> BRSResult:
     """Find the best ``a x b`` region for the score function ``f``.
 
@@ -144,17 +225,14 @@ def best_region(
             :mod:`repro.columnar`; weighted-sum functions run fully
             vectorized, anything else falls back to object-path SliceBRS).
         theta: slice width as a multiple of ``b`` (ignored by ``"naive"``).
-        c: cover parameter for ``"cover"``; defaults to 1/3 (the paper's
-            CoverBRS4, a 1/4-approximation).
-        validate: spot-check the submodular monotone contract first.
+        c: cover parameter of the cover rung; defaults to 1/3 (the
+            paper's CoverBRS4, a 1/4-approximation).
         budget: optional execution budget (falls back to the ambient
             :func:`~repro.runtime.budget.budget_scope`).  With a budget the
-            call *never runs unbounded*: on expiry an anytime result with
-            ``status`` ``"degraded"``/``"timeout"`` and a sound optimality
-            gap comes back instead of an exception.
-        degrade: with a budget and ``method="slice"``, walk the fallback
-            ladder (SliceBRS → CoverBRS → grid scan) instead of returning
-            SliceBRS's raw anytime answer.  Has no effect without a budget.
+            call *never runs unbounded*: every method but ``"naive"`` walks
+            the :func:`solve` ladder from its rung, and on expiry an anytime
+            result with ``status`` ``"degraded"``/``"timeout"`` and a sound
+            optimality gap comes back instead of an exception.
 
     Raises:
         InvalidQueryError: on an unknown method or an invalid instance
@@ -166,23 +244,11 @@ def best_region(
             f"unknown method {method!r}; expected one of {_METHODS}"
         )
     _validate_query(points, a, b)
-    budget = effective_budget(budget)
-    c_value = c if c is not None else 1.0 / 3.0
-
-    if method == "slice":
-        if budget is not None and degrade:
-            return _ladder(points, f, a, b, theta, c_value, validate, budget)
-        return SliceBRS(theta=theta, validate=validate).solve(
-            points, f, a, b, budget=budget
-        )
-    if method == "columnar":
-        from repro.columnar.solvers import columnar_best_region
-
-        return columnar_best_region(
-            points, f, a, b, theta=theta, budget=budget
-        )
-    if method == "cover":
-        return CoverBRS(c=c_value, theta=theta, validate=validate).solve(
-            points, f, a, b, budget=budget
-        )
-    return NaiveBRS().solve(points, f, a, b, budget=budget)
+    if method == "naive":
+        return NaiveBRS().solve(points, f, a, b, budget=budget)
+    return solve(
+        points, f, a, b,
+        rung=RUNG_COVER if method == "cover" else RUNG_EXACT,
+        budget=budget, theta=theta, c=1.0 / 3.0 if c is None else c,
+        columns=points if method == "columnar" else None,
+    )

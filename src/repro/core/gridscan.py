@@ -1,12 +1,15 @@
 """Coarse grid scan — the last rung of the graceful-degradation ladder.
 
 When neither SliceBRS nor CoverBRS can finish inside the budget, this
-solver guarantees *some* useful answer in near-linear time: snap objects to
-a ``b x a`` grid, order the occupied cells by population (a free density
-proxy), and score the region centered on each cell until the budget runs
-out.  Every answer it returns is a real region with its true score — only
-optimality is surrendered, and the reported ``upper_bound`` (``f`` of all
-objects, sound by monotonicity) says by at most how much.
+solver guarantees *some* useful answer in near-linear time: lay a ``b x a``
+grid over the objects, give each cell the objects the region centered on
+it holds (under :func:`~repro.core.siri.objects_in_region`'s open-region
+predicate, so an object on a cell's low edge belongs to no cell), order
+the occupied cells by population (a free density proxy), and score each
+cell's region until the budget runs out.  Every answer it returns is a
+real region with its true score — only optimality is surrendered, and the
+reported ``upper_bound`` (``f`` of all objects, sound by monotonicity)
+says by at most how much.
 
 The population ordering matters: under a tight budget only a handful of
 cells get scored, and dense cells are where high-scoring regions live for
@@ -67,12 +70,27 @@ def coarse_grid_scan(
 
     x0 = min(p.x for p in points)
     y0 = min(p.y for p in points)
+
+    def mid(v0: float, i: int, side: float) -> float:
+        return v0 + (i + 0.5) * side
+
+    def holders(v: float, v0: float, side: float) -> List[int]:
+        # Cells on one axis whose centered region holds v under
+        # objects_in_region's predicate: v's own half-open cell, or a
+        # neighbour where float rounding moves a center across an edge.
+        k = int((v - v0) // side)
+        return [
+            i for i in (k - 1, k, k + 1)
+            if abs(v - mid(v0, i, side)) < side / 2.0
+        ]
+
     cells: Counter = Counter()
     members: Dict[Tuple[int, int], List[int]] = {}
     for obj_id, p in enumerate(points):
-        key = (int((p.x - x0) // b), int((p.y - y0) // a))
-        cells[key] += 1
-        members.setdefault(key, []).append(obj_id)
+        for cx in holders(p.x, x0, b):
+            for cy in holders(p.y, y0, a):
+                cells[(cx, cy)] += 1
+                members.setdefault((cx, cy), []).append(obj_id)
 
     # Occupied cells play the role slices play for SliceBRS: binning every
     # object is the "push" work, scoring a cell is one candidate.
@@ -84,16 +102,15 @@ def coarse_grid_scan(
     status = "degraded"
     with tracer.span("gridscan.solve", n_objects=len(points), n_cells=len(cells)):
         try:
-            for (cx, cy), _count in cells.most_common():
+            for cell, _count in cells.most_common():
                 if budget is not None:
                     budget.charge()
-                center = Point(x0 + (cx + 0.5) * b, y0 + (cy + 0.5) * a)
                 stats.n_candidates += 1
                 stats.n_slices_scanned += 1
-                value = f.value(members[(cx, cy)])
+                value = f.value(members[cell])
                 if value > best_value:
                     best_value = value
-                    best_point = center
+                    best_point = Point(mid(x0, cell[0], b), mid(y0, cell[1], a))
         except BudgetExceededError:
             status = "timeout"
 

@@ -39,6 +39,10 @@ class BRSResult:
             one when a proved ratio exists).  ``None`` from an exact solver
             means the score *is* the optimum; ``None`` elsewhere means no
             bound was computed.
+        rung: the degradation-ladder rung that produced this region
+            (``"exact"``, ``"cover"`` or ``"grid"``) when the answer came
+            from :func:`repro.core.brs.solve`; ``None`` from a solver
+            called directly.
     """
 
     point: Point
@@ -50,6 +54,7 @@ class BRSResult:
     cover_stats: Optional[CoverStats] = None
     status: str = "ok"
     upper_bound: Optional[float] = None
+    rung: Optional[str] = None
 
     @property
     def region(self) -> Rect:
@@ -106,4 +111,5 @@ def merge_anytime(
         cover_stats=winner.cover_stats,
         status=status if status is not None else winner.status,
         upper_bound=upper,
+        rung=winner.rung,
     )

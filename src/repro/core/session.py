@@ -10,24 +10,24 @@ answers a stream of differently-sized queries, keeping a history the user
 can scroll back through.
 
 The session also implements the natural speed/quality escalation: answer
-interactively with CoverBRS first, and only pay for SliceBRS when the user
-asks to ``confirm()`` a shortlisted query.  An interactive loop must also
-*stay* interactive, so the session is deadline-aware: give it (or a single
-call) a time budget and every answer degrades gracefully down the ladder —
-exact → approximate → coarse grid scan — rather than stalling; transient
-score-function failures can be absorbed with a built-in retry policy.
+interactively with CoverBRS first, and only pay for the exact search when
+the user asks to ``confirm()`` a shortlisted query.  An interactive loop
+must also *stay* interactive, so the session is deadline-aware: give it
+(or a single call) a time budget and every answer falls down the shared
+ladder of :func:`repro.core.brs.solve` — exact → cover → coarse grid scan
+— rather than stalling; transient score-function failures can be
+absorbed with a built-in retry policy.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.coverbrs import CoverBRS
-from repro.core.gridscan import coarse_grid_scan
-from repro.core.result import BRSResult, merge_anytime
-from repro.core.slicebrs import SliceBRS
+from repro.core import brs
+from repro.core.result import BRSResult
 from repro.functions.base import SetFunction
 from repro.geometry.point import Point
 from repro.index.quadtree import Quadtree
@@ -37,6 +37,12 @@ from repro.obs.trace import active_tracer
 from repro.runtime.budget import Budget
 from repro.runtime.errors import InvalidQueryError
 from repro.runtime.faults import RetryingFunction
+
+
+#: QueryRecord.method for each ladder rung.
+_METHOD_OF_RUNG = {
+    brs.RUNG_EXACT: "slice", brs.RUNG_COVER: "cover", brs.RUNG_GRID: "grid",
+}
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class ExplorationSession:
         theta: slice-width multiple for both solvers.
         deadline: optional per-query wall-clock budget in seconds, applied
             to every ``explore``/``confirm`` call that does not pass its
-            own ``timeout``.  Answers degrade down the ladder instead of
+            own ``timeout``.  Answers fall down the ladder instead of
             overrunning it.
         max_evals: optional per-query cap on score evaluations (same
             scoping rules as ``deadline``).
@@ -88,7 +94,8 @@ class ExplorationSession:
             when several sessions share one cache).
 
     Raises:
-        InvalidQueryError: on an empty dataset or invalid parameters.
+        InvalidQueryError: on an empty dataset, ``c`` outside (0, 1), or a
+            non-positive or non-finite ``theta``.
     """
 
     def __init__(
@@ -105,14 +112,16 @@ class ExplorationSession:
     ) -> None:
         if not points:
             raise InvalidQueryError("a session needs at least one object")
+        if not 0.0 < c < 1.0:
+            raise InvalidQueryError(f"c must be in (0, 1), got {c}")
+        if not (theta > 0 and math.isfinite(theta)):
+            raise InvalidQueryError(f"theta must be positive and finite, got {theta}")
         self._points = list(points)
         self._f: SetFunction = (
             RetryingFunction(f, max_retries=retries) if retries > 0 else f
         )
         self._quadtree = Quadtree(self._points)
         self._rtree = RTree(self._points)
-        self._approx = CoverBRS(c=c, theta=theta)
-        self._exact = SliceBRS(theta=theta)
         self._c = c
         self._theta = theta
         self._deadline = deadline
@@ -208,45 +217,7 @@ class ExplorationSession:
         Raises:
             InvalidQueryError: on a non-positive rectangle.
         """
-        budget = self._budget(timeout)
-        registry = active_registry()
-        before = registry.snapshot() if registry.enabled else None
-        start_time = time.perf_counter()
-        key = self._cache_key("explore", a, b)
-        if key is not None:
-            hit = self._cache.get(key)
-            if hit is not None:
-                method, result = hit
-                self._record(a, b, method, result, start_time, before,
-                             cache_hit=True)
-                return result
-        method = "cover"
-        with active_tracer().span("session.explore", a=a, b=b):
-            if budget is None:
-                result = self._approx.solve(
-                    self._points, self._f, a, b, quadtree=self._quadtree
-                )
-            else:
-                result = self._approx.solve(
-                    self._points, self._f, a, b, quadtree=self._quadtree,
-                    budget=budget.sub(time_fraction=0.7, eval_fraction=0.7),
-                )
-                if result.status != "ok":
-                    grid = coarse_grid_scan(
-                        self._points, self._f, a, b, budget=budget.sub(),
-                        initial_best=result.score,
-                    )
-                    if grid.score > result.score:
-                        method = "grid"
-                    result = merge_anytime(
-                        result, grid,
-                        status="degraded" if grid.status == "degraded" else "timeout",
-                    )
-        if key is not None and result.status == "ok":
-            self._cache.put(key, (method, result))
-        self._record(a, b, method, result, start_time, before,
-                     cache_hit=False if key is not None else None)
-        return result
+        return self._query("explore", brs.RUNG_COVER, a, b, timeout)
 
     def confirm(
         self,
@@ -254,13 +225,13 @@ class ExplorationSession:
         b: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> BRSResult:
-        """Answer exactly (SliceBRS); defaults to the last explored size.
+        """Answer exactly; defaults to the last explored size.
 
-        Under a budget this walks the full degradation ladder: exact →
-        approximate → grid scan, each stage inheriting the remainder, so a
-        confirmation request comes back by the deadline with the strongest
-        answer a stage could complete (``result.status`` says which
-        contract was met).
+        Under a budget this walks the full ladder: exact → cover → grid
+        scan, each rung inheriting the remainder, so a confirmation
+        request comes back by the deadline with the strongest answer a
+        rung could complete (``result.status`` says which contract was
+        met).
 
         Args:
             a: query-rectangle height (defaults to the last query's).
@@ -277,11 +248,17 @@ class ExplorationSession:
                 raise InvalidQueryError("no previous query to confirm; pass a and b")
             a = self.last.a if a is None else a
             b = self.last.b if b is None else b
+        return self._query("confirm", brs.RUNG_EXACT, a, b, timeout)
+
+    def _query(
+        self, mode: str, rung: str, a: float, b: float, timeout: Optional[float]
+    ) -> BRSResult:
+        """One cached, recorded ladder call starting at ``rung``."""
         budget = self._budget(timeout)
         registry = active_registry()
         before = registry.snapshot() if registry.enabled else None
         start_time = time.perf_counter()
-        key = self._cache_key("confirm", a, b)
+        key = self._cache_key(mode, a, b)
         if key is not None:
             hit = self._cache.get(key)
             if hit is not None:
@@ -289,36 +266,12 @@ class ExplorationSession:
                 self._record(a, b, method, result, start_time, before,
                              cache_hit=True)
                 return result
-        method = "slice"
-        with active_tracer().span("session.confirm", a=a, b=b):
-            if budget is None:
-                result = self._exact.solve(self._points, self._f, a, b)
-            else:
-                result = self._exact.solve(
-                    self._points, self._f, a, b,
-                    budget=budget.sub(time_fraction=0.6, eval_fraction=0.6),
-                )
-                if result.status != "ok":
-                    cover = self._approx.solve(
-                        self._points, self._f, a, b, quadtree=self._quadtree,
-                        budget=budget.sub(time_fraction=0.7, eval_fraction=0.7),
-                    )
-                    if cover.score > result.score:
-                        method = "cover"
-                    if cover.status == "ok":
-                        result = merge_anytime(result, cover, status="degraded")
-                    else:
-                        result = merge_anytime(result, cover)
-                        grid = coarse_grid_scan(
-                            self._points, self._f, a, b, budget=budget.sub(),
-                            initial_best=result.score,
-                        )
-                        if grid.score > result.score:
-                            method = "grid"
-                        result = merge_anytime(
-                            result, grid,
-                            status="degraded" if grid.status == "degraded" else "timeout",
-                        )
+        with active_tracer().span(f"session.{mode}", a=a, b=b):
+            result = brs.solve(
+                self._points, self._f, a, b, rung=rung, budget=budget,
+                theta=self._theta, c=self._c, quadtree=self._quadtree,
+            )
+        method = _METHOD_OF_RUNG[result.rung]
         if key is not None and result.status == "ok":
             self._cache.put(key, (method, result))
         self._record(a, b, method, result, start_time, before,

@@ -27,7 +27,7 @@ Execution model:
   its shard on the surviving pool; a crashed worker breaks the pool,
   which is rebuilt with the same bootstrap.  Both paths are capped by
   ``max_retries`` per shard (and pool rebuilds overall); exhausted shards
-  degrade to the in-process serial path, so the answer stays exact
+  fall back to the in-process serial path, so the answer stays exact
   whenever any budget remains, and stays *sound* (score ≤ reported
   upper bound) when it does not.
 """

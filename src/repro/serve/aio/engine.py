@@ -29,11 +29,11 @@ request flows through these stages in order:
    cover → grid) for the cycle's batches — answers get cheaper before
    deadlines start missing, and every shed answer still carries a
    certified quality bound (see :mod:`repro.serve.solvecore`).
-7. **Execution.**  Each query of a batch is one solve
-   (:class:`~repro.serve.solvecore.QuerySolver`) under its
-   :class:`~repro.runtime.budget.Budget` deadline; on expiry the answer
-   degrades (anytime best-so-far, then a coarse grid scan) instead of
-   overrunning.  Exact answers are written back to the
+7. **Execution.**  Each query of a batch is one call to the shared
+   degradation ladder (:class:`~repro.serve.solvecore.QuerySolver`) under
+   its :class:`~repro.runtime.budget.Budget` deadline; on expiry the
+   answer falls to the cover and grid rungs instead of overrunning.
+   Exact answers are written back to the
    :class:`~repro.serve.cache.ResultCache`; degraded ones never are.
 
 Solves are CPU-bound, so they run on a worker thread pool via
@@ -97,8 +97,6 @@ class AsyncServeEngine:
             pressure monitor).  Defaults to ``max(8, 4 * workers)``.
         theta: slice-width multiple handed to the exact solver.
         default_timeout: per-request deadline when none is given.
-        backend / process_workers / process_threshold: forwarded to the
-            shared :class:`~repro.serve.solvecore.QuerySolver`.
         pressure: shedding policy thresholds; defaults apply when omitted.
         registry: metrics registry; private one when omitted.
         tracer: span tracer; ambient tracer at construction when omitted.
@@ -120,9 +118,6 @@ class AsyncServeEngine:
         max_dispatch: Optional[int] = None,
         theta: float = 1.0,
         default_timeout: Optional[float] = None,
-        backend: str = "thread",
-        process_workers: int = 2,
-        process_threshold: int = 10_000,
         pressure: Optional[PressurePolicy] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -145,12 +140,7 @@ class AsyncServeEngine:
         self._admission = TenantAdmission(self.tenants, capacity=queue_capacity)
         self._queue = WeightedFairQueue(self.tenants.weights())
         self._pressure = PressureMonitor(pressure)
-        self._solver = QuerySolver(
-            theta=theta,
-            backend=backend,
-            process_workers=process_workers,
-            process_threshold=process_threshold,
-        )
+        self._solver = QuerySolver(theta=theta)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="brs-aio-serve"
         )

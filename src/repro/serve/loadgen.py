@@ -135,8 +135,9 @@ class LoadReport:
         target_qps: offered arrival rate.
         offered: scheduled arrivals.
         completed: samples with any terminal status.
-        duration_seconds: wall time from first intended send to last
-            completion.
+        duration_seconds: the offered window (the schedule's duration)
+            or, when longer, the wall time from first intended send to
+            last completion.
         p50_seconds / p99_seconds: intended-time latency percentiles
             over served (ok/degraded) samples.
         naive_p50_seconds / naive_p99_seconds: the closed-loop
@@ -145,7 +146,8 @@ class LoadReport:
         shed_rate: rejected fraction of completed samples.
         error_rate: errored fraction of completed samples.
         degraded_rate: degraded fraction of completed samples.
-        goodput_qps: served (ok + degraded) samples per wall second.
+        goodput_qps: served (ok + degraded) samples per second of
+            ``duration_seconds``.
         per_tenant: per-tenant sample counts and percentiles.
         slo: the SLO tracker's closing snapshot (verdicts included).
         samples: every sample, in completion-record order.
@@ -317,8 +319,15 @@ def summarize(
     target_qps: float,
     offered: int,
     slo_tier: str = "interactive",
+    duration: float = 0.0,
 ) -> LoadReport:
-    """Aggregate samples into a :class:`LoadReport` (SLO verdict included)."""
+    """Aggregate samples into a :class:`LoadReport` (SLO verdict included).
+
+    ``duration`` is the offered window the samples were scheduled over;
+    goodput divides by it, or by the measured span when that is longer,
+    so a run whose arrivals bunch early cannot report more than it was
+    offered.
+    """
     tracker = SLOTracker(
         objective_for(slo_tier), window=max(1, len(samples))
     )
@@ -330,7 +339,7 @@ def summarize(
     completed = len(samples)
     end = max((s.intended + s.latency for s in samples), default=0.0)
     start = min((s.intended for s in samples), default=0.0)
-    wall = max(end - start, 1e-9)
+    wall = max(end - start, duration, 1e-9)
     per_tenant: Dict[str, Dict[str, float]] = {}
     for tenant in sorted({s.tenant for s in samples}):
         mine = [s for s in samples if s.tenant == tenant]
@@ -397,7 +406,8 @@ def run_load(
         submit, schedule, clock=clock, sleep=sleep, wait_timeout=wait_timeout
     )
     return summarize(
-        samples, target_qps=target_qps, offered=len(schedule), slo_tier=slo_tier
+        samples, target_qps=target_qps, offered=len(schedule),
+        slo_tier=slo_tier, duration=duration,
     )
 
 

@@ -247,6 +247,18 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "f.json", "--backend", "process"],
+            ["serve", "f.json", "--process-workers", "4"],
+        ],
+    )
+    def test_serve_has_no_process_backend(self, argv):
+        """Every served query is one ladder call in the worker thread."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_serve_end_to_end(self, dataset_file):
         """`repro-brs serve` boots, answers a query over HTTP, shuts down."""
         import json

@@ -129,6 +129,16 @@ class TestSlabs:
         )
         assert ds.count_in_rect(0.5, 2.5, 0.5, 3.0) == expected
 
+    def test_ids_in_rect_is_the_open_window_ascending(self):
+        ds = _dataset()
+        expected = [
+            i for i, p in enumerate(ds.points())
+            if 0.5 < p.x < 3.0 and 0.0 < p.y < 2.5
+        ]
+        got = ds.ids_in_rect(0.5, 3.0, 0.0, 2.5)
+        assert got.tolist() == expected == [2, 3]
+        assert ds.count_in_rect(0.5, 3.0, 0.0, 2.5) == len(expected)
+
 
 class TestAsColumnar:
     def test_passthrough(self):

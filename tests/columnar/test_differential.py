@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from repro.columnar.dataset import ColumnarDataset
-from repro.columnar.gridscan import columnar_grid_scan
 from repro.columnar.rangecount import SortedRangeCounter
 from repro.columnar.solvers import (
     columnar_best_region,
     columnar_oe_maxrs,
     columnar_slicebrs,
 )
-from repro.core.gridscan import coarse_grid_scan
 from repro.core.maxrs import oe_maxrs
 from repro.core.naive import NaiveBRS
 from repro.core.siri import objects_in_region
@@ -94,17 +92,6 @@ def test_dataset_weight_column_is_picked_up(seed):
     explicit = columnar_oe_maxrs(points, a, b, weights=weights)
     implicit = columnar_oe_maxrs(ds, a, b)
     assert implicit.score == explicit.score
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_columnar_grid_scan_matches_object_path(seed):
-    points, weights, a, b = _instance(seed)
-    f = SumFunction(len(points), weights)
-    obj = coarse_grid_scan(points, f, a, b)
-    col = columnar_grid_scan(points, f, a, b)
-    assert col.score == obj.score
-    assert (col.point.x, col.point.y) == (obj.point.x, obj.point.y)
-    assert col.status == obj.status
 
 
 @pytest.mark.parametrize("seed", [2, 9, 17, 26, 38])

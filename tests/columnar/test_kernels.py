@@ -2,14 +2,12 @@
 
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.columnar.kernels import (
     assign_slices,
-    grid_cells,
     grouped_sweep,
     maximal_intervals,
     siri_intervals,
@@ -144,31 +142,3 @@ def test_assign_slices_matches_brute_force(seed):
     ends = np.append(sl.slice_starts[1:], sl.row_ids.size)
     for start, end in zip(sl.slice_starts, ends):
         assert len(set(sl.slice_ids[start:end].tolist())) == 1
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_grid_cells_matches_counter_order(seed):
-    rng = random.Random(1000 + seed)
-    n = 60
-    xs = np.array([rng.uniform(0, 10) for _ in range(n)])
-    ys = np.array([rng.uniform(0, 10) for _ in range(n)])
-    cw, ch = 1.5, 2.0
-    cell_xy, member_order, member_starts, cell_order = grid_cells(
-        xs, ys, cw, ch
-    )
-    x0, y0 = float(xs.min()), float(ys.min())
-    counts = Counter(
-        (int((x - x0) // cw), int((y - y0) // ch)) for x, y in zip(xs, ys)
-    )
-    # Same occupied cells, populations, and most_common order.
-    got_cells = [tuple(int(v) for v in cell_xy[i]) for i in cell_order]
-    assert got_cells == [cell for cell, _ in counts.most_common()]
-    assert member_starts[-1] == n
-    for j, (start, end) in enumerate(zip(member_starts[:-1], member_starts[1:])):
-        cell = tuple(int(v) for v in cell_xy[j])
-        members = member_order[start:end]
-        assert end - start == counts[cell]
-        for m in members:
-            assert (
-                int((xs[m] - x0) // cw), int((ys[m] - y0) // ch)
-            ) == cell

@@ -64,15 +64,6 @@ class TestDeadlinePressure:
         assert bare.object_ids == unlimited.object_ids
         assert bare.upper_bound is None and unlimited.upper_bound is None
 
-    def test_degrade_false_returns_raw_slicebrs_answer(self):
-        points, f = big_instance(n=2_000)
-        result = best_region(
-            points, f, a=5.0, b=5.0,
-            budget=Budget(max_evals=10), degrade=False,
-        )
-        assert result.status == "timeout"
-        assert result.upper_bound is not None
-
     def test_ambient_budget_is_picked_up(self):
         points, f = big_instance(n=2_000)
         with budget_scope(Budget(max_evals=20)):

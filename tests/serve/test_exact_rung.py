@@ -180,6 +180,32 @@ def test_focus_emptiness_uses_the_solver_open_window():
     assert resolve((0.5, 2.0, 0.5, 1.5)).focus == (0.5, 2.0, 0.5, 1.5)
 
 
+def test_object_on_the_focus_edge_is_outside_submit_and_solve():
+    """One open-window lookup decides both the submit check and the
+    candidates: an object exactly on the edge is in neither."""
+    store = DatasetStore()
+    points = [Point(1.0, 2.0), Point(3.0, 2.0), Point(2.0, 2.0)]
+    store.add_points(
+        "pts", points, SumFunction(3, [10.0, 1.0, 1.0]), fn_key="sum"
+    )
+    entry = store.resolve("pts")
+    # x_min = 1.0 runs through the heavy object at (1, 2).
+    focus = (1.0, 4.0, 1.0, 3.0)
+    assert entry.columns().count_in_rect(*focus) == 2
+    assert entry.columns().ids_in_rect(*focus).tolist() == [1, 2]
+    request = QueryRequest(dataset="pts", a=3.0, b=3.0, focus=focus)
+    key = QuerySolver.resolve_key(request, entry)
+    resp = QuerySolver().solve(key, entry)
+    assert resp.status == "ok"
+    assert resp.score == 2.0
+    assert resp.object_ids == (1, 2)
+    with pytest.raises(InvalidQueryError, match="no objects"):
+        QuerySolver.resolve_key(
+            QueryRequest(dataset="pts", a=3.0, b=3.0, focus=(1.0, 1.5, 1.0, 3.0)),
+            entry,
+        )
+
+
 def test_window_emptied_after_submit_is_an_exact_empty_answer(store):
     entry = store.resolve("coverage")
     key = normalize_query(

@@ -188,6 +188,23 @@ class TestSummarize:
         assert row["offered"] == 5 and row["p99_ms"] >= row["p50_ms"]
         assert isinstance(row["slo_healthy"], bool)
 
+    def test_goodput_is_computed_over_the_offered_window(self):
+        # Three arrivals bunched into the first 0.11 s of a 0.6 s window
+        # at 5 q/s offered: goodput is 3 / 0.6, not 3 / 0.11.
+        samples = [
+            LoadSample(
+                tenant="alpha", intended=t, actual=t, latency=0.01,
+                service_latency=0.01, status="ok",
+            )
+            for t in (0.0, 0.05, 0.1)
+        ]
+        report = summarize(samples, target_qps=5.0, offered=3, duration=0.6)
+        assert report.duration_seconds == pytest.approx(0.6)
+        assert report.goodput_qps == pytest.approx(5.0)
+        # A span longer than the window (a slow tail) still wins.
+        slow = summarize(samples, target_qps=5.0, offered=3, duration=0.05)
+        assert slow.duration_seconds == pytest.approx(0.11)
+
     def test_empty_run_is_well_defined(self):
         report = summarize([], target_qps=10.0, offered=0)
         assert report.completed == 0
