@@ -17,7 +17,7 @@ Subpackages: :mod:`repro.core` (algorithms), :mod:`repro.functions`
 :mod:`repro.datasets`, :mod:`repro.io`, :mod:`repro.bench`,
 :mod:`repro.runtime` (budgets, fault injection, error taxonomy),
 :mod:`repro.obs` (metrics, tracing, profiling), :mod:`repro.serve`
-(batched query serving with result caching and admission control),
+(query serving with result caching, dedup and admission control),
 :mod:`repro.parallel` (multiprocessing shard-solve backend),
 :mod:`repro.columnar` (NumPy columnar data plane with vectorized
 solver kernels).

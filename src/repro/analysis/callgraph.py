@@ -20,7 +20,7 @@ Construction is two passes over the parsed modules:
    through the method-resolution order, ``obj.m()`` through inferred
    attribute/local/parameter types, ``Class()`` to ``Class.__init__``,
    ``super().m()`` through the first base.  Function *references* passed
-   as arguments (``pool.submit(self._run_group)``,
+   as arguments (``pool.submit(self._run_spec)``,
    ``Thread(target=self._loop)``) become ``kind="ref"`` edges: they count
    for reachability but not for "this call blocks here" reasoning — the
    referee runs later, on another thread, outside any lock held now.

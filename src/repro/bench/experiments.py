@@ -401,8 +401,7 @@ def serve_throughput() -> List[Table]:
         for i in range(16)
     ]
     rows: List[Sequence] = []
-    with AsyncServeEngine(store, cache=ResultCache(256), workers=4,
-                          batch_window=0.002) as engine:
+    with AsyncServeEngine(store, cache=ResultCache(256), workers=4) as engine:
         for wave in ("cold", "warm"):
             hits_before = engine.cache.stats.hits
             start = time.perf_counter()
@@ -582,8 +581,7 @@ def ingest_churn(n_objects: int = 600, n_rounds: int = 8) -> List[Table]:
     rows: List[Sequence] = []
     with tempfile.TemporaryDirectory() as tmp:
         wal = pathlib.Path(tmp) / "churn-wal.jsonl"
-        with AsyncServeEngine(store, cache=cache, workers=2,
-                              batch_window=0.0) as engine:
+        with AsyncServeEngine(store, cache=cache, workers=2) as engine:
             pipe = IngestPipeline(
                 live, IngestLog(wal), store=store, cache=cache,
                 dataset_id="bench",

@@ -57,7 +57,7 @@ class SLObjective:
 
 
 #: Default objectives per quality tier.  ``interactive`` is the serve
-#: tier's envelope for cache-warm, batched traffic on one host;
+#: tier's envelope for cache-warm, deduplicated traffic on one host;
 #: ``batch`` covers offline/benchmark traffic where only availability
 #: and completion matter.
 DEFAULT_OBJECTIVES: Dict[str, SLObjective] = {

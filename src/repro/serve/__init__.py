@@ -1,4 +1,4 @@
-"""Query-serving subsystem: batching, result caching, admission control.
+"""Query-serving subsystem: result caching, dedup, admission control.
 
 The paper frames BRS as the inner loop of *data exploration* — many
 users re-asking similar best-region queries against a few datasets.  This

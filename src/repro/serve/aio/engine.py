@@ -19,17 +19,16 @@ request flows through these stages in order:
    an explicit ``"rejected"`` response, never an unbounded queue.
 5. **Weighted-fair scheduling.**  Admitted queries enter a
    :class:`~repro.serve.fairqueue.WeightedFairQueue`; the scheduler task
-   drains it in finish-tag order, grouping compatible queries (same
-   dataset, version, function, rectangle size) into batches, so a
+   pops it in finish-tag order, one query per free worker slot, so a
    flooding tenant delays a polite one by at most the bounded bypass of
    start-time fair queueing.
 6. **Pressure-driven shedding.**  A :class:`~repro.serve.pressure.PressureMonitor`
    watches what each scheduling cycle leaves queued and the SLO
    error-budget burn, and selects the runtime-ladder rung (exact →
-   cover → grid) for the cycle's batches — answers get cheaper before
+   cover → grid) for the cycle's queries — answers get cheaper before
    deadlines start missing, and every shed answer still carries a
    certified quality bound (see :mod:`repro.serve.solvecore`).
-7. **Execution.**  Each query of a batch is one call to the shared
+7. **Execution.**  Each dispatched query is one call to the shared
    degradation ladder (:class:`~repro.serve.solvecore.QuerySolver`) under
    its :class:`~repro.runtime.budget.Budget` deadline; on expiry the
    answer falls to the cover and grid rungs instead of overrunning.
@@ -50,7 +49,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -70,12 +68,21 @@ from repro.serve.planner import BatchPlanner, PlannedQuery
 from repro.serve.fairqueue import WeightedFairQueue
 from repro.serve.pressure import PressureMonitor, PressurePolicy
 from repro.serve.solvecore import QuerySolver, error_response
-from repro.serve.store import DatasetStore, ServedDataset
+from repro.serve.store import DatasetStore
 from repro.serve.tenancy import TenantAdmission, TenantRegistry
 
-#: Fine-grained latency buckets for request latency (cache hits are ~µs).
+#: Request latency buckets, a 1-2-5 series from 10 µs (cache hits) to
+#: 30 s.  Adjacent bounds differ by at most 2.5x, which caps how far
+#: ``histogram_quantile``'s linear interpolation inside one bucket can
+#: stray from the true quantile.
 _LATENCY_BUCKETS = (
-    0.00001, 0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
+    0.00001, 0.00002, 0.00005,
+    0.0001, 0.0002, 0.0005,
+    0.001, 0.002, 0.005,
+    0.01, 0.02, 0.05,
+    0.1, 0.2, 0.5,
+    1.0, 2.0, 5.0,
+    10.0, 20.0, 30.0,
 )
 
 
@@ -90,11 +97,6 @@ class AsyncServeEngine:
         workers: solver threads (solves are CPU-bound and leave the loop).
         queue_capacity: global open-query ceiling; per-tenant quotas
             apply underneath it.
-        batch_window: seconds the scheduler waits after a wake-up so
-            concurrent arrivals can coalesce into batches.
-        max_dispatch: queries drained from the fair queue per scheduling
-            cycle; the remainder stays queued (and visible to the
-            pressure monitor).  Defaults to ``max(8, 4 * workers)``.
         theta: slice-width multiple handed to the exact solver.
         default_timeout: per-request deadline when none is given.
         pressure: shedding policy thresholds; defaults apply when omitted.
@@ -103,8 +105,7 @@ class AsyncServeEngine:
         slo_tier / slo_window: SLO objective and sliding-window size.
 
     Raises:
-        ValueError: on non-positive workers/capacity or a negative
-            batch window.
+        ValueError: on non-positive workers or capacity.
     """
 
     def __init__(
@@ -114,8 +115,6 @@ class AsyncServeEngine:
         tenants: Optional[TenantRegistry] = None,
         workers: int = 2,
         queue_capacity: int = 64,
-        batch_window: float = 0.005,
-        max_dispatch: Optional[int] = None,
         theta: float = 1.0,
         default_timeout: Optional[float] = None,
         pressure: Optional[PressurePolicy] = None,
@@ -126,10 +125,6 @@ class AsyncServeEngine:
     ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if batch_window < 0:
-            raise ValueError(f"batch_window cannot be negative, got {batch_window}")
-        if max_dispatch is not None and max_dispatch <= 0:
-            raise ValueError(f"max_dispatch must be positive, got {max_dispatch}")
         self.store = store
         self.cache = cache if cache is not None else ResultCache()
         self.tenants = tenants if tenants is not None else TenantRegistry()
@@ -145,17 +140,13 @@ class AsyncServeEngine:
             max_workers=workers, thread_name_prefix="brs-aio-serve"
         )
         self._capacity = queue_capacity
-        self._batch_window = batch_window
-        self._max_dispatch = (
-            max_dispatch if max_dispatch is not None else max(8, 4 * workers)
-        )
-        # Dispatch throttle: once this many groups are in the worker
+        # Dispatch throttle: once this many queries are in the worker
         # pool, further arrivals stay in the fair queue — where the
         # pressure monitor can see them.  Without it the scheduler would
         # shovel the backlog into the pool's invisible work queue and
         # pressure (hence the shedding ladder) would never engage.
-        self._max_inflight_groups = workers + 2
-        self._inflight_groups = 0
+        self._max_inflight = workers + 2
+        self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._default_timeout = default_timeout
         self._closed = False
@@ -476,7 +467,7 @@ class AsyncServeEngine:
             loop.call_soon_threadsafe(wake.set)
 
     async def _scheduler(self) -> None:
-        """Coalesce fair-queue arrivals into batches and dispatch them."""
+        """Dispatch fair-queue arrivals as worker slots free up."""
         assert self._wake is not None
         while not self._closed:
             try:
@@ -487,157 +478,96 @@ class AsyncServeEngine:
             if self._closed:
                 break
             self._wake.clear()
-            if self._batch_window > 0:
-                await asyncio.sleep(self._batch_window)
             self._dispatch_cycle()
 
     def _dispatch_cycle(self) -> None:
-        """One scheduling cycle: drain fairly, observe pressure, dispatch."""
-        assert self._loop is not None and self._wake is not None
+        """One scheduling cycle: pop fairly, observe pressure, dispatch."""
+        assert self._loop is not None
         with metrics_scope(self.registry):
             with self._inflight_lock:
-                available = self._max_inflight_groups - self._inflight_groups
-            groups: "OrderedDict[tuple, List[Tuple[str, PlannedQuery]]]" = (
-                OrderedDict()
-            )
-            taken = 0
-            while taken < self._max_dispatch:
-                head = self._queue.peek()
-                if head is None:
-                    break
-                group_key = head[1].key.group_key
-                if group_key not in groups and len(groups) >= available:
-                    # Opening another batch would overfill the worker
-                    # pool; leave the rest queued where the pressure
-                    # monitor can see it.
-                    break
+                available = self._max_inflight - self._inflight
+            taken: List[Tuple[str, PlannedQuery]] = []
+            while len(taken) < available:
                 popped = self._queue.pop()
-                if popped is None:  # pragma: no cover - single consumer
+                if popped is None:
                     break
-                tenant, planned = popped
-                groups.setdefault(group_key, []).append((tenant, planned))
-                taken += 1
+                taken.append(popped)
             self._publish_queue_depth()
             # Backlog is what this cycle leaves queued: the queries just
-            # drained go to idle workers, so they are not overload.
+            # popped go to idle workers, so they are not overload.
             backlog = len(self._queue)
             ratio = backlog / self._capacity if self._capacity else 0.0
             self._pressure.observe(ratio, self._slo.snapshot())
             rung = self._pressure.rung()
-            for group in groups.values():
+            for tenant, planned in taken:
                 with self._inflight_lock:
-                    self._inflight_groups += 1
+                    self._inflight += 1
                 future = self._loop.run_in_executor(
-                    self._pool, self._run_group, group, rung
+                    self._pool, self._run_spec, tenant, planned, rung
                 )
-                future.add_done_callback(self._group_done)
-            if len(self._queue) > 0 and available > len(groups):
-                # Work we chose not to drain this cycle: keep the
-                # scheduler hot instead of waiting on a new arrival.
-                self._wake.set()
+                future.add_done_callback(self._query_done)
 
-    def _group_done(self, _future: "asyncio.Future[None]") -> None:
-        """A batch left the pool: free its slot and re-run the scheduler."""
+    def _query_done(self, _future: "asyncio.Future[None]") -> None:
+        """A query left the pool: free its slot and re-run the scheduler."""
         with self._inflight_lock:
-            self._inflight_groups -= 1
+            self._inflight -= 1
         self._wake_scheduler()
 
     # -- execution (worker threads) --------------------------------------
 
-    def _run_group(
-        self, group: List[Tuple[str, PlannedQuery]], rung: str
-    ) -> None:
-        """Execute one compatibility group at the cycle's ladder rung."""
+    def _run_spec(self, tenant: str, planned: PlannedQuery, rung: str) -> None:
+        """Solve one distinct query at ``rung``; resolve every request on it."""
+        key = planned.key
+        start = time.perf_counter()
         with metrics_scope(self.registry), trace_scope(self._tracer):
-            key = group[0][1].key
             try:
                 entry = self.store.resolve(key.dataset)
             except InvalidQueryError as exc:
-                for tenant, planned in group:
-                    self._fail(tenant, planned, str(exc))
+                self._fail(tenant, planned, str(exc))
                 return
-            self.registry.counter(
-                "brs_serve_batches_total", help="compatibility groups executed"
-            ).inc()
-            self.registry.histogram(
-                "brs_serve_batch_size",
-                help="distinct queries per executed group",
-                buckets=(1, 2, 4, 8, 16, 32, 64),
-            ).observe(len(group))
-            with self._tracer.span(
-                "serve.batch",
-                dataset=key.dataset,
-                a=key.a,
-                b=key.b,
-                size=len(group),
-                rung=rung,
-            ):
-                for tenant, planned in group:
-                    self._run_spec(tenant, planned, entry, len(group), rung)
-
-    def _run_spec(
-        self,
-        tenant: str,
-        planned: PlannedQuery,
-        entry: ServedDataset,
-        batch_size: int,
-        rung: str,
-    ) -> None:
-        """Solve one distinct query and resolve every request on it."""
-        key = planned.key
-        start = time.perf_counter()
-        try:
             self.registry.counter(
                 "brs_serve_spec_solves_total",
                 help="distinct normalized queries executed (after dedup)",
             ).inc()
+            attrs = dict(
+                dataset=key.dataset, a=key.a, b=key.b,
+                focused=key.focus is not None,
+            )
             if planned.trace is not None:
-                span = self._tracer.span(
-                    "serve.query",
+                # Parent the solve under the requester's span; untraced,
+                # it is a root span on this worker thread.
+                attrs.update(
                     parent_id=planned.trace.parent_span_id,
                     trace_id=planned.trace.trace_id,
-                    dataset=key.dataset,
-                    a=key.a,
-                    b=key.b,
-                    focused=key.focus is not None,
                 )
-            else:
-                span = self._tracer.span(
-                    "serve.query",
-                    dataset=key.dataset,
-                    a=key.a,
-                    b=key.b,
-                    focused=key.focus is not None,
-                )
-            with span:
-                response = self._solver.solve(
-                    key, entry, budget=planned.budget, rung=rung
-                )
-        except BRSError as exc:
-            response = error_response(key, f"{type(exc).__name__}: {exc}")
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            response = error_response(key, f"{type(exc).__name__}: {exc}")
-        response = response.with_envelope(
-            seconds=time.perf_counter() - start, batch_size=batch_size
-        )
-        if response.status == "degraded":
-            self.registry.counter(
-                "brs_serve_degraded_total",
-                help="queries answered with a degraded (anytime) result",
-            ).inc()
-        current = self.store.resolve(key.dataset)
-        if (
-            response.status == "ok"
-            and current.version == key.version
-            and current.mutation_seq == entry.mutation_seq
-        ):
-            self.cache.put(key, response)
-        if not planned.future.done():
-            planned.future.set_result(response)
-        self._planner.finish(planned)
-        self._publish_inflight()
-        if planned.admitted:
-            self._admission.release(tenant)
+            try:
+                with self._tracer.span("serve.query", **attrs):
+                    response = self._solver.solve(
+                        key, entry, budget=planned.budget, rung=rung
+                    )
+            except BRSError as exc:
+                response = error_response(key, f"{type(exc).__name__}: {exc}")
+            except Exception as exc:  # pragma: no cover - defensive catch-all
+                response = error_response(key, f"{type(exc).__name__}: {exc}")
+            response = response.with_envelope(seconds=time.perf_counter() - start)
+            if response.status == "degraded":
+                self.registry.counter(
+                    "brs_serve_degraded_total",
+                    help="queries answered with a degraded (anytime) result",
+                ).inc()
+            current = self.store.resolve(key.dataset)
+            if (
+                response.status == "ok"
+                and current.version == key.version
+                and current.mutation_seq == entry.mutation_seq
+            ):
+                self.cache.put(key, response)
+            if not planned.future.done():
+                planned.future.set_result(response)
+            self._planner.finish(planned)
+            self._publish_inflight()
+            if planned.admitted:
+                self._admission.release(tenant)
 
     def _fail(self, tenant: str, planned: PlannedQuery, message: str) -> None:
         if not planned.future.done():

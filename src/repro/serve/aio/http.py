@@ -2,8 +2,8 @@
 
 A minimal HTTP/1.1 server over :func:`asyncio.start_server`: a thin JSON
 shell around :class:`~repro.serve.aio.engine.AsyncServeEngine`, so
-concurrency, batching, dedup, and backpressure all live in the engine
-where they are testable without sockets.
+concurrency, dedup, and backpressure all live in the engine where they
+are testable without sockets.
 
 Protocol (all bodies JSON, version :data:`~repro.serve.model.PROTOCOL_VERSION`):
 
@@ -35,7 +35,7 @@ Distributed tracing: a client may send an ``X-BRS-Trace`` header
 Each query opens a ``server.request`` span parented under the client's
 span id — a root span when there is none — and forwards that span's
 context into the engine, so the request's whole path (HTTP accept,
-batching, solve) lands in one span tree.
+queueing, solve) lands in one span tree.
 
 The server runs natively (``await server.start_async()``) or from
 synchronous code via :meth:`AsyncBRSServer.start`, which hosts engine +

@@ -144,19 +144,6 @@ class WeightedFairQueue:
                 self._depths[tenant] = depth
             return tenant, item
 
-    def peek(self) -> Optional[Tuple[str, Any]]:
-        """The next ``(tenant, item)`` :meth:`pop` would return, unpopped.
-
-        Lets the scheduler bound how many *new* batches a cycle opens
-        without re-queueing (which would re-tag the item and break the
-        fairness order).  Returns ``None`` when empty.
-        """
-        with self._lock:
-            if not self._heap:
-                return None
-            _, _, tenant, item = self._heap[0]
-            return tenant, item
-
     def __len__(self) -> int:
         """Total queued items."""
         with self._lock:

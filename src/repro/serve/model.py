@@ -11,12 +11,11 @@ are recognized as one.  This module defines that meaning:
 * :class:`CacheKey` — the *normalized* query: dataset id + dataset
   version + score-function key + quantized rectangle + quantized focus.
   Two requests with the same key are the same query; the key is what the
-  result cache, the in-flight dedup table, and the batch planner operate
-  on.
+  result cache and the in-flight dedup table operate on.
 * :class:`QueryResponse` — the answer, split into a *cacheable core*
   (everything derived from the normalized query and the dataset version)
-  and a per-request *envelope* (``cached``, ``batch_size``, ``seconds``)
-  that never enters the cache.
+  and a per-request *envelope* (``cached``, ``seconds``) that never
+  enters the cache.
 
 Quantization rounds rectangle sides and focus coordinates to
 :data:`QUANT_SIG_DIGITS` significant digits, so floating-point noise from
@@ -176,7 +175,7 @@ class QueryRequest:
 
 @dataclass(frozen=True)
 class CacheKey:
-    """A normalized query: the identity the cache and planner operate on.
+    """A normalized query: the identity the cache and dedup table operate on.
 
     Attributes:
         dataset: dataset id.
@@ -196,15 +195,6 @@ class CacheKey:
     a: float
     b: float
     focus: Optional[Tuple[float, float, float, float]] = None
-
-    @property
-    def group_key(self) -> Tuple[str, int, str, float, float]:
-        """Batch-compatibility key: same dataset, version, function, size.
-
-        Queries sharing a group key are dispatched together and share
-        one dataset resolve — they differ at most in focus.
-        """
-        return (self.dataset, self.version, self.fn_key, self.a, self.b)
 
 
 def normalize_query(
@@ -238,8 +228,7 @@ class QueryResponse:
     the normalized query and the dataset version, and the payload of
     :meth:`canonical_bytes`.  The remaining fields are the per-request
     envelope (excluded from equality): whether this copy came from the
-    cache, how many compatible queries shared the batch, and the solve
-    wall time.
+    cache, and the solve wall time.
 
     Attributes:
         status: one of :data:`SERVE_STATUSES`.
@@ -257,7 +246,6 @@ class QueryResponse:
         upper_bound: sound cap on the optimum for non-exact answers.
         error: one-line diagnosis for rejected/error responses.
         cached: envelope — this copy was served from the result cache.
-        batch_size: envelope — compatible queries in the executed batch.
         seconds: envelope — solve wall time (0 for cache hits).
     """
 
@@ -273,7 +261,6 @@ class QueryResponse:
     upper_bound: Optional[float] = None
     error: Optional[str] = None
     cached: bool = field(default=False, compare=False)
-    batch_size: int = field(default=1, compare=False)
     seconds: float = field(default=0.0, compare=False)
 
     def core(self) -> Dict[str, Any]:
@@ -307,7 +294,6 @@ class QueryResponse:
         """Core plus envelope, ready for the HTTP layer."""
         doc = self.core()
         doc["cached"] = self.cached
-        doc["batch_size"] = self.batch_size
         doc["seconds"] = self.seconds
         return doc
 
@@ -328,20 +314,17 @@ class QueryResponse:
             upper_bound=doc.get("upper_bound"),
             error=doc.get("error"),
             cached=bool(doc.get("cached", False)),
-            batch_size=int(doc.get("batch_size", 1)),
             seconds=float(doc.get("seconds", 0.0)),
         )
 
     def with_envelope(
         self,
         cached: Optional[bool] = None,
-        batch_size: Optional[int] = None,
         seconds: Optional[float] = None,
     ) -> "QueryResponse":
         """Copy with envelope fields replaced; the core is untouched."""
         return replace(
             self,
             cached=self.cached if cached is None else cached,
-            batch_size=self.batch_size if batch_size is None else batch_size,
             seconds=self.seconds if seconds is None else seconds,
         )

@@ -7,9 +7,8 @@ engine calls :meth:`BatchPlanner.submit` on arrival and
 :meth:`BatchPlanner.finish` once the query's future resolves; between
 those two calls the key stays in the in-flight table, which is what lets
 late duplicates join an *executing* solve, not just a queued one.
-Grouping compatible queries into batches is the engine scheduler's job
-(by :attr:`~repro.serve.model.CacheKey.group_key`, as it drains its fair
-queue).
+The engine scheduler dispatches each distinct query on its own as it
+pops its fair queue.
 """
 
 from __future__ import annotations

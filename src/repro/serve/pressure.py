@@ -18,7 +18,7 @@ solvers already implement (:mod:`repro.serve.solvecore`):
 ====== ============ ===========================================
 level  rung         meaning
 ====== ============ ===========================================
-0      ``exact``    healthy: full exact-over-shards contract
+0      ``exact``    healthy: one exact solve per query
 1      ``cover``    shedding: certified (1/4)-approx answers
 2      ``grid``     overload: coarse anytime answers
 ====== ============ ===========================================

@@ -19,8 +19,10 @@ ephemeral port and drives it over HTTP the way CI does:
 5. an **SLO verdict**: the engine's sliding-window tracker must judge the
    whole run healthy against the ``interactive`` objective (the one
    rejection above is designed shedding, within its ceiling), and the
-   summary prints SLO-comparable p50/p99 from ``histogram_quantile``
-   instead of raw means;
+   p99 that ``histogram_quantile`` reads off the latency histogram must
+   agree with the tracker's p99 over its raw samples within
+   :data:`P99_AGREEMENT` — the widest ratio between adjacent latency
+   buckets;
 6. a Prometheus text snapshot written to ``--out`` (and, with
    ``--slo-out``, the SLO snapshot as JSON) for artifact upload.
 
@@ -48,6 +50,11 @@ from repro.serve.client import ServeClient
 from repro.serve.loadgen import ScheduledQuery, fire_schedule, summarize
 from repro.serve.model import QueryRequest, QueryResponse, quantize
 from repro.serve.store import DatasetStore
+
+#: Largest ratio allowed between the histogram's p99 and the SLO
+#: tracker's p99 over the same requests: the widest step between
+#: adjacent bounds of the engine's latency buckets (2 -> 5).
+P99_AGREEMENT = 2.5
 
 
 class _SlowFunction(SetFunction):
@@ -124,7 +131,6 @@ def run_selfcheck(
         cache=ResultCache(max_entries=256),
         workers=2,
         queue_capacity=capacity,
-        batch_window=0.01,
     )
     with AsyncBRSServer(engine, port=0) as server:
         client = ServeClient(server.url, timeout=60.0)
@@ -256,10 +262,18 @@ def run_selfcheck(
         )
         metric = engine.registry.metrics().get("brs_serve_request_seconds")
         if isinstance(metric, Histogram) and metric.count:
+            hist_p99 = histogram_quantile(metric, 0.99)
             print(
                 f"latency (histogram_quantile over {metric.count} requests): "
                 f"p50={histogram_quantile(metric, 0.5) * 1000:.1f}ms "
-                f"p99={histogram_quantile(metric, 0.99) * 1000:.1f}ms"
+                f"p99={hist_p99 * 1000:.1f}ms"
+            )
+            low, high = sorted((hist_p99, slo["p99_seconds"]))
+            checks.record(
+                "histogram p99 agrees with the SLO tracker's",
+                high <= P99_AGREEMENT * low,
+                f"{hist_p99 * 1000:.1f}ms vs {slo['p99_seconds'] * 1000:.1f}ms, "
+                f"allowed ratio {P99_AGREEMENT}",
             )
         print(
             f"slo[{slo['tier']}]: p50={slo['p50_seconds'] * 1000:.1f}ms "

@@ -6,10 +6,9 @@ threads or event loops: given a normalized
 :class:`~repro.serve.store.ServedDataset`, and a
 :class:`~repro.runtime.budget.Budget`, produce a
 :class:`~repro.serve.model.QueryResponse`.  The engine
-(:class:`~repro.serve.aio.engine.AsyncServeEngine`) dispatches
-compatible queries (same dataset, version, function and rectangle size)
-as one group; a group shares one dataset resolve and one dispatch slot,
-and each of its queries is one :meth:`QuerySolver.solve` call.
+(:class:`~repro.serve.aio.engine.AsyncServeEngine`) dispatches each
+distinct query on its own worker slot as one :meth:`QuerySolver.solve`
+call.
 
 Each query is one call to the shared degradation ladder
 (:func:`repro.core.brs.solve`) over the focus-restricted candidates,

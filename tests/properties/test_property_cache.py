@@ -45,7 +45,7 @@ def _engine(points, labels):
     store = DatasetStore()
     store.add_points("d", points, CoverageFunction(labels), fn_key="coverage")
     return AsyncServeEngine(
-        store, cache=ResultCache(64), workers=1, batch_window=0.0
+        store, cache=ResultCache(64), workers=1
     ).start_background()
 
 

@@ -85,9 +85,7 @@ def _setup(tmp_path_factory, base):
     cache = ResultCache(64)
     points, _, fn = live.snapshot()
     store.add_points("d", points, fn, fn_key="coverage", space=SPACE)
-    engine = AsyncServeEngine(
-        store, cache=cache, workers=1, batch_window=0.0
-    ).start_background()
+    engine = AsyncServeEngine(store, cache=cache, workers=1).start_background()
     wal = tmp_path_factory.mktemp("ingest") / "wal.jsonl"
     pipe = IngestPipeline(
         live,

@@ -3,9 +3,8 @@
 The HTTP front end must be a transparent shell around the engine: an
 identical query stream driven over HTTP and straight into a separate
 in-process engine produces byte-identical ``canonical_bytes`` responses
-— the canonical core excludes only the envelope timing fields
-(``seconds``, ``cached``, ``batch_size``), which legitimately differ
-between runs.  JSON encoding, decoding, and the protocol envelope may
+— the canonical core excludes only the envelope fields (``seconds``,
+``cached``), which legitimately differ between runs.  JSON encoding, decoding, and the protocol envelope may
 not perturb a single field.  This suite is the contract CI pins.
 """
 
@@ -32,15 +31,13 @@ def make_store(data):
 
 @pytest.fixture()
 def in_process(data):
-    with AsyncServeEngine(make_store(data), workers=2,
-                          batch_window=0.002) as engine:
+    with AsyncServeEngine(make_store(data), workers=2) as engine:
         yield engine
 
 
 @pytest.fixture()
 def http_client(data):
-    engine = AsyncServeEngine(make_store(data), workers=2,
-                              batch_window=0.002)
+    engine = AsyncServeEngine(make_store(data), workers=2)
     with AsyncBRSServer(engine, port=0) as srv:
         yield ServeClient(srv.url, timeout=30.0)
 

@@ -30,8 +30,7 @@ def test_quota_and_coalescing_paths_have_no_lock_inversions():
         tenants.register(TenantSpec(id="alpha", weight=2.0, quota=4))
         tenants.register(TenantSpec(id="beta", weight=1.0, quota=2))
         engine = AsyncServeEngine(
-            store, tenants=tenants, workers=2,
-            queue_capacity=16, batch_window=0.005,
+            store, tenants=tenants, workers=2, queue_capacity=16
         )
         engine.start_background()
         try:

@@ -20,6 +20,7 @@ from repro.serve.aio import AsyncBRSServer, AsyncServeEngine
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.model import QueryRequest
 from repro.serve.store import DatasetStore
+from tests.helpers import GatedFunction
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def data():
 def server(data):
     store = DatasetStore()
     store.add_dataset("demo", data)
-    engine = AsyncServeEngine(store, workers=2, batch_window=0.002)
+    engine = AsyncServeEngine(store, workers=2)
     with AsyncBRSServer(engine, port=0) as srv:
         yield srv
 
@@ -94,31 +95,40 @@ class TestQueryEndpoint:
             assert "no objects" in json.loads(exc.read())["error"]
 
     def test_rejected_query_is_http_429(self, data):
+        # The gate holds the one admitted query in flight, so the
+        # engine's single slot stays taken while the requests below ask.
+        gate = GatedFunction(data.score_function())
         store = DatasetStore()
-        store.add_dataset("demo", data)
-        engine = AsyncServeEngine(
-            store, workers=1, queue_capacity=1, batch_window=0.4
-        )
+        store.add_points("demo", data.points, gate)
+        engine = AsyncServeEngine(store, workers=1, queue_capacity=1)
         with AsyncBRSServer(engine, port=0) as srv:
             c = ServeClient(srv.url, timeout=30.0)
-            held = engine.submit_threadsafe(
-                QueryRequest(dataset="demo", a=210.0, b=330.0)
-            )
-            req = urllib.request.Request(
-                srv.url + "/v1/query",
-                data=json.dumps({"dataset": "demo", "a": 10.0, "b": 16.0}).encode(),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
             try:
-                urllib.request.urlopen(req, timeout=10)
-                raise AssertionError("expected HTTP 429")
-            except urllib.error.HTTPError as exc:
-                assert exc.code == 429
-                assert json.loads(exc.read())["status"] == "rejected"
-            # The typed client surfaces the same thing as data, not an error.
-            rejected = c.query(QueryRequest(dataset="demo", a=11.0, b=17.0))
-            assert rejected.status == "rejected"
+                held = engine.submit_threadsafe(
+                    QueryRequest(dataset="demo", a=210.0, b=330.0)
+                )
+                req = urllib.request.Request(
+                    srv.url + "/v1/query",
+                    data=json.dumps(
+                        {"dataset": "demo", "a": 10.0, "b": 16.0}
+                    ).encode(),
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                try:
+                    urllib.request.urlopen(req, timeout=10)
+                    raise AssertionError("expected HTTP 429")
+                except urllib.error.HTTPError as exc:
+                    assert exc.code == 429
+                    assert json.loads(exc.read())["status"] == "rejected"
+                # The typed client surfaces the same thing as data, not an
+                # error.
+                rejected = c.query(
+                    QueryRequest(dataset="demo", a=11.0, b=17.0)
+                )
+                assert rejected.status == "rejected"
+            finally:
+                gate.release()
             assert held.result(timeout=60).status == "ok"
 
 

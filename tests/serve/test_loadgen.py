@@ -216,7 +216,7 @@ class TestEndToEnd:
     def test_run_load_against_live_async_engine(self):
         store = DatasetStore()
         store.add_dataset("demo", scalability_dataset(80, seed=2))
-        eng = AsyncServeEngine(store, workers=2, batch_window=0.002)
+        eng = AsyncServeEngine(store, workers=2)
         with eng:
             report = run_load(
                 lambda req, tenant: eng.submit_threadsafe(req, tenant=tenant),

@@ -4,7 +4,6 @@ import pytest
 
 from repro.runtime.errors import InvalidQueryError
 from repro.serve.model import (
-    CacheKey,
     QueryRequest,
     QueryResponse,
     normalize_query,
@@ -73,13 +72,12 @@ class TestNormalization:
         k2 = normalize_query("d", 2, "coverage", 1.0, 1.0)
         assert k1 != k2
 
-    def test_focus_distinguishes_keys_but_not_groups(self):
+    def test_focus_distinguishes_keys(self):
         plain = normalize_query("d", 1, "coverage", 1.0, 2.0)
         focused = normalize_query(
             "d", 1, "coverage", 1.0, 2.0, focus=(0.0, 5.0, 0.0, 5.0)
         )
         assert plain != focused
-        assert plain.group_key == focused.group_key
 
     def test_keys_are_hashable_identities(self):
         keys = {
@@ -105,10 +103,10 @@ class TestQueryResponse:
 
     def test_envelope_excluded_from_equality_and_bytes(self):
         fresh = self._response()
-        cached = fresh.with_envelope(cached=True, batch_size=7, seconds=0.5)
+        cached = fresh.with_envelope(cached=True, seconds=0.5)
         assert fresh == cached
         assert fresh.canonical_bytes() == cached.canonical_bytes()
-        assert cached.cached and cached.batch_size == 7
+        assert cached.cached and cached.seconds == 0.5
 
     def test_different_cores_differ(self):
         assert (
@@ -121,9 +119,3 @@ class TestQueryResponse:
         back = QueryResponse.from_json(resp.to_json())
         assert back.canonical_bytes() == resp.canonical_bytes()
         assert back == resp
-
-
-class TestGroupKey:
-    def test_group_key_fields(self):
-        key = CacheKey("d", 3, "coverage", 1.5, 2.5)
-        assert key.group_key == ("d", 3, "coverage", 1.5, 2.5)

@@ -1,4 +1,4 @@
-"""Tests for in-flight dedup, compatibility grouping, and the capacity."""
+"""Tests for in-flight dedup and the engine's global capacity."""
 
 from repro.serve.model import normalize_query
 from repro.serve.planner import BatchPlanner
@@ -9,8 +9,8 @@ import pytest
 from repro.runtime.errors import AdmissionRejectedError
 
 
-def _key(a=1.0, b=2.0, dataset="d", version=1, focus=None):
-    return normalize_query(dataset, version, "coverage", a, b, focus)
+def _key():
+    return normalize_query("d", 1, "coverage", 1.0, 2.0)
 
 
 class TestDedup:
@@ -38,18 +38,6 @@ class TestDedup:
         assert planner.inflight_count() == 0
         again, is_new = planner.submit(_key(), None)
         assert is_new and again is not first
-
-
-class TestGrouping:
-    """The engine scheduler batches queued queries by ``group_key``."""
-
-    def test_same_size_same_dataset_groups_together(self):
-        plain = _key(focus=None).group_key
-        assert _key(focus=(0.0, 5.0, 0.0, 5.0)).group_key == plain
-        assert _key(a=9.0).group_key != plain
-
-    def test_versions_never_share_a_group(self):
-        assert _key(version=1).group_key != _key(version=2).group_key
 
 
 class TestAdmission:

@@ -31,9 +31,9 @@ def data():
 
 
 def burst_requests(count):
-    """Distinct (a, b) pairs: distinct group keys, so backlog is real.
+    """Distinct (a, b) pairs: distinct cache keys, so backlog is real.
 
-    Identical rectangles would coalesce into one batch group and the
+    Identical rectangles would coalesce onto one in-flight solve and the
     queue would never fill — the sweep must defeat its own dedup.
     """
     return [
@@ -49,10 +49,7 @@ def make_engine(data, **kwargs):
     store.add_dataset("demo", data)
     tenants = TenantRegistry()
     tenants.register(TenantSpec(id="load", quota=64))
-    defaults = dict(
-        tenants=tenants, cache=None, workers=1,
-        queue_capacity=24, batch_window=0.02,
-    )
+    defaults = dict(tenants=tenants, cache=None, workers=1, queue_capacity=24)
     defaults.update(kwargs)
     return AsyncServeEngine(store, **defaults)
 

@@ -9,6 +9,8 @@ below — all in the same trace file.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from concurrent.futures import ThreadPoolExecutor
@@ -19,25 +21,32 @@ from repro.serve.aio import AsyncBRSServer, AsyncServeEngine
 from repro.serve.client import ServeClient
 from repro.serve.model import QueryRequest
 from repro.serve.store import DatasetStore
+from tests.helpers import GatedFunction
 
 
-def _serve(batch_window):
-    data = scalability_dataset(100, seed=9)
+def _data():
+    return scalability_dataset(100, seed=9)
+
+
+def _serve(fn=None):
+    """A traced server over ``demo``, scored by ``fn`` when given."""
+    data = _data()
     store = DatasetStore()
-    store.add_dataset("demo", data)
+    if fn is None:
+        store.add_dataset("demo", data)
+    else:
+        store.add_points("demo", data.points, fn)
     # One shared tracer: the engine records into the same sink the client
     # scope uses, so the merged stream is directly assertable.
     events = []
     tracer = Tracer(events)
-    engine = AsyncServeEngine(
-        store, workers=2, batch_window=batch_window, tracer=tracer
-    )
+    engine = AsyncServeEngine(store, workers=2, tracer=tracer)
     return AsyncBRSServer(engine, port=0), tracer, events
 
 
 @pytest.fixture()
 def served_engine():
-    server, tracer, events = _serve(batch_window=0.002)
+    server, tracer, events = _serve()
     with server:
         yield server, tracer, events
 
@@ -107,9 +116,10 @@ class TestHttpTracePropagation:
 
     @pytest.mark.parametrize("traced_clients", [False, True])
     def test_concurrent_requests_get_their_own_trees(self, traced_clients):
-        # Every connection shares the server's event-loop thread; a wide
-        # batch window keeps all the requests open at once there.
-        server, tracer, events = _serve(batch_window=0.2)
+        # Every connection shares the server's event-loop thread; the
+        # gate holds the solves until all the requests are open there.
+        gate = GatedFunction(_data().score_function())
+        server, tracer, events = _serve(gate)
         requests = [
             QueryRequest(dataset="demo", a=1.0 + 0.25 * i, b=1.5)
             for i in range(8)
@@ -123,7 +133,20 @@ class TestHttpTracePropagation:
                 return client.query(request)
 
         with server, ThreadPoolExecutor(max_workers=len(requests)) as pool:
-            responses = list(pool.map(ask, requests))
+            try:
+                pending = [pool.submit(ask, r) for r in requests]
+                deadline = time.monotonic() + 10.0
+                while (
+                    server.engine.stats()["queue"]["inflight"] < len(requests)
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                assert server.engine.stats()["queue"]["inflight"] == len(
+                    requests
+                )
+            finally:
+                gate.release()
+            responses = [f.result(timeout=60) for f in pending]
         assert all(r.status == "ok" for r in responses)
         tree, name_of = _tree_and_names(events)
         parent_of = {
