@@ -692,6 +692,10 @@ def parallel_speedup(
     ]
 
 
+#: E15's coverage instance size: the object path takes a minute at 100k.
+COLUMNAR_COVERAGE_OBJECTS = 20_000
+
+
 def columnar_speedup(n_objects: int = 100_000) -> List[Table]:
     """E15: columnar data plane — object-path solvers vs NumPy kernels.
 
@@ -700,7 +704,10 @@ def columnar_speedup(n_objects: int = 100_000) -> List[Table]:
     uniform SumFunction weights, a fixed 100x100 query) is solved four
     ways — SliceBRS and OE MaxRS through the object path, then the same
     two searches through the vectorized kernels — so the runtimes differ
-    only by the data plane and the scores must be identical.
+    only by the data plane and the scores must be identical.  A second
+    instance runs the paper's diversity score: coverage on the Section 6.5
+    construction (:data:`COLUMNAR_COVERAGE_OBJECTS` objects, a k = 5
+    query), object-path SliceBRS against the kernel's label-union sweeps.
 
     Single-core by construction: the speedup is algorithmic (contiguous
     arrays + searchsorted/prefix-sum kernels), not parallelism, so it is
@@ -724,6 +731,17 @@ def columnar_speedup(n_objects: int = 100_000) -> List[Table]:
     obj_oe, t_obj_oe = timed(lambda: oe_maxrs(points, a, b, weights=weights))
     col_oe, t_col_oe = timed(lambda: columnar_oe_maxrs(ds, a, b, weights=weights))
 
+    cov = scalability_dataset(COLUMNAR_COVERAGE_OBJECTS, seed=7)
+    cov_fn = cov.score_function()
+    ca, cb = cov.query(5)
+    cov_points = cov.points
+    cov.columns()
+    cov_fn._code_csr()  # the label CSR is cached per function, like columns
+    obj_cov, t_obj_cov = timed(
+        lambda: SliceBRS().solve(cov_points, cov_fn, ca, cb)
+    )
+    col_cov, t_col_cov = timed(lambda: columnar_slicebrs(cov, cov_fn, ca, cb))
+
     rows: List[Sequence] = [
         ("slicebrs", "object", n_objects, t_obj_slice, obj_slice.score, 1.0),
         ("slicebrs", "columnar", n_objects, t_col_slice, col_slice.score,
@@ -731,6 +749,10 @@ def columnar_speedup(n_objects: int = 100_000) -> List[Table]:
         ("oe_maxrs", "object", n_objects, t_obj_oe, obj_oe.score, 1.0),
         ("oe_maxrs", "columnar", n_objects, t_col_oe, col_oe.score,
          t_obj_oe / max(t_col_oe, 1e-9)),
+        ("slicebrs-coverage", "object", COLUMNAR_COVERAGE_OBJECTS, t_obj_cov,
+         obj_cov.score, 1.0),
+        ("slicebrs-coverage", "columnar", COLUMNAR_COVERAGE_OBJECTS, t_col_cov,
+         col_cov.score, t_obj_cov / max(t_col_cov, 1e-9)),
     ]
     return [
         Table(
@@ -740,7 +762,8 @@ def columnar_speedup(n_objects: int = 100_000) -> List[Table]:
             rows,
             notes=[
                 "expected shape: identical scores per solver; columnar "
-                ">= 10x per solver at the full 100k instance, single core",
+                ">= 10x per SUM solver at the full 100k instance, single "
+                "core; coverage (20k) is checked for identical scores only",
             ],
         )
     ]
@@ -935,6 +958,12 @@ def _check_parallel(tables: List[Table]) -> List[str]:
 def _check_columnar(tables: List[Table]) -> List[str]:
     failures = []
     rows = {(row[0], row[1]): row for row in tables[0].rows}
+    obj, col = rows[("slicebrs-coverage", "object")], rows[("slicebrs-coverage", "columnar")]
+    if obj[4] != col[4]:
+        failures.append(
+            f"Columnar: slicebrs-coverage scores differ between object "
+            f"({obj[4]}) and columnar ({col[4]}) planes"
+        )
     for solver in ("slicebrs", "oe_maxrs"):
         obj, col = rows[(solver, "object")], rows[(solver, "columnar")]
         if abs(obj[4] - col[4]) > 1e-9:

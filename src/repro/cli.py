@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=float, default=10.0, help="query scale (k*q)")
     solve.add_argument("--aspect", type=float, default=None, help="a/b ratio")
     solve.add_argument(
-        "--method", choices=("slice", "cover", "naive", "columnar"),
+        "--method", choices=("slice", "cover", "naive"),
         default="slice"
     )
     solve.add_argument("--c", type=float, default=None, help="cover parameter")
@@ -587,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the HTTP query server",
         description="Serve best-region queries over HTTP.  Each query that "
                     "misses the cache is one exact solve (the columnar "
-                    "kernel for SUM scores, SliceBRS otherwise) under its "
+                    "kernel for SUM and coverage scores, object-path "
+                    "SliceBRS otherwise) under its "
                     "deadline; an expired deadline or load shedding returns "
                     "a degraded answer with a sound upper bound.",
     )

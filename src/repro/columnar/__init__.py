@@ -7,8 +7,10 @@ contiguous NumPy arrays (:class:`~repro.columnar.dataset.ColumnarDataset`)
 and rewrites the solver inner loops as vectorized sweeps:
 
 * :func:`~repro.columnar.solvers.columnar_slicebrs` — the exact SliceBRS
-  search for modular (SUM) score functions, with event-array *ScanSlab*
-  and prefix-sum *SearchMR* kernels;
+  search for SUM and coverage score functions (influence included), with
+  event-array *ScanSlab* and *SearchMR* kernels, in SliceBRS's own heap
+  order; :func:`~repro.columnar.solvers.columnar_best_region` makes it
+  the exact rung every solve calls;
 * :func:`~repro.columnar.solvers.columnar_oe_maxrs` — the exact MaxRS
   pass, replacing the per-edge segment-tree loop with a prefix-sum sweep
   over maximal slabs;

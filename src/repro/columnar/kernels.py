@@ -12,14 +12,17 @@ per-batch aggregates the object sweeps maintain incrementally
 The trigger rule is identical to the object sweeps: the interval
 between batch ``k`` and batch ``k + 1`` is emitted when batch ``k``
 contained insertions and batch ``k + 1`` contains removals, with the
-active weight *after* batch ``k`` as the interval's (sound) upper bound.
+score of the rows active *after* batch ``k`` as the interval's (sound)
+upper bound.  For a SUM score that score is the running weight sum of
+:func:`grouped_sweep`; for a coverage score it is the covered label
+weight of :func:`covered_intervals`, a label-union sweep.
 
-Floating-point note: the cumulative active weights accumulate in sweep
-order, which is a different summation order than the object evaluators
-use.  Kernel outputs are therefore treated as *bounds and ranks*; the
-solvers in :mod:`repro.columnar.solvers` recompute every reported score
-from the exact member-id set so results stay comparable bit-for-bit with
-the object path on exactly-representable weights.
+Floating-point note: the running sums accumulate in sweep order, which
+can differ from the order the object evaluators add in.  Kernel outputs
+are therefore treated as *bounds and ranks*; the solvers in
+:mod:`repro.columnar.solvers` recompute every reported score from the
+exact member-id set, so results agree bit-for-bit with the object path
+whenever partial sums are exact (unit, integer or dyadic weights).
 """
 
 from __future__ import annotations
@@ -110,29 +113,36 @@ def grouped_sweep(
     Returns:
         The per-batch aggregates; empty arrays for empty input.
     """
-    n = int(lo.size)
-    if n == 0:
+    if lo.size == 0:
         empty_f = np.empty(0, dtype=np.float64)
         empty_b = np.empty(0, dtype=bool)
         return SweepBatches(empty_f, empty_b, empty_b.copy(), empty_f.copy())
-    coords = np.concatenate((lo, hi))
-    delta = np.concatenate((weights, -weights))
-    is_insert = np.zeros(2 * n, dtype=bool)
-    is_insert[:n] = True
+    order, coords, starts, has_insert, has_remove = _event_batches(lo, hi)
+    delta = np.concatenate((weights, -weights))[order]
+    active_after = np.cumsum(np.add.reduceat(delta, starts))
+    return SweepBatches(coords[starts], has_insert, has_remove, active_after)
 
+
+def _event_batches(
+    lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The intervals' endpoint events, stably sorted and batched.
+
+    Event ``e < n`` inserts interval ``e`` at ``lo[e]``, event ``n + i``
+    removes interval ``i`` at ``hi[i]``.  Returns ``(order, coords,
+    starts, has_insert, has_remove)``: the sorting permutation, the sorted
+    coordinates, each batch's first position, and the per-batch flags.
+    """
+    coords = np.concatenate((lo, hi))
     order = np.argsort(coords, kind="stable")
     coords = coords[order]
-    delta = delta[order]
-    is_insert = is_insert[order]
-
+    is_insert = order < lo.size
     starts = np.flatnonzero(
         np.concatenate((np.ones(1, dtype=bool), coords[1:] != coords[:-1]))
     )
-    batch_coords = coords[starts]
     has_insert = np.logical_or.reduceat(is_insert, starts)
     has_remove = np.logical_or.reduceat(~is_insert, starts)
-    active_after = np.cumsum(np.add.reduceat(delta, starts))
-    return SweepBatches(batch_coords, has_insert, has_remove, active_after)
+    return order, coords, starts, has_insert, has_remove
 
 
 def maximal_intervals(
@@ -156,6 +166,80 @@ def maximal_intervals(
         batches.coords[idx + 1],
         batches.active_after[idx],
     )
+
+
+def covered_intervals(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    objects: np.ndarray,
+    csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> SlabSet:
+    """:func:`maximal_intervals` for a coverage score: a label-union sweep.
+
+    Row ``r`` covers the labels of object ``objects[r]`` (``csr`` is
+    ``(codes, indptr, code_weights)``, as
+    :meth:`~repro.functions.coverage.CoverageFunction._code_csr` builds it)
+    on ``[lo[r], hi[r])``.  The trigger intervals are
+    :func:`maximal_intervals`'; each one's bound is the total weight of the
+    labels its active rows cover — the value a
+    :class:`~repro.functions.coverage.CoverageEvaluator` holds there,
+    before the function's ``scale``.
+
+    The rows' (row, label) pairs become ±1 events, sorted by label and,
+    within a label, in the rows' event order.  Each label's events
+    balance, so the running count is 0 at every label boundary: a +1
+    lifting it to 1 opens one of the label's covered runs, a -1 dropping
+    it to 0 closes one.  The opens and closes carry ±label weight; summed
+    per event position and accumulated in event order, they give the
+    covered weight after every coordinate batch.  Only whole batches are
+    read, so the order of tied events within one (label, coordinate)
+    cannot matter.
+    """
+    m = int(lo.size)
+    empty = np.empty(0, dtype=np.float64)
+    if m == 0:
+        return SlabSet(empty, empty.copy(), empty.copy())
+    order, coords, starts, has_insert, has_remove = _event_batches(lo, hi)
+    idx = np.flatnonzero(has_insert[:-1] & has_remove[1:])
+    if idx.size == 0:
+        return SlabSet(empty, empty.copy(), empty.copy())
+    gap_lo = coords[starts[idx]]
+    gap_hi = coords[starts[idx + 1]]
+
+    codes, code_indptr, code_weights = csr
+    # Each row's codes: its object's CSR row, gathered row after row.
+    starts_of = code_indptr[objects]
+    counts = code_indptr[objects + 1] - starts_of
+    n_pairs = int(counts.sum())
+    gather = np.repeat(starts_of - (np.cumsum(counts) - counts), counts) + (
+        np.arange(n_pairs, dtype=np.int64)
+    )
+    if n_pairs == 0:
+        return SlabSet(gap_lo, gap_hi, np.zeros(idx.size, dtype=np.float64))
+    # Position of each row event in the sweep; a pair event takes its
+    # row event's position, so (label, position) keys are distinct.
+    position = np.empty(2 * m, dtype=np.int64)
+    position[order] = np.arange(2 * m, dtype=np.int64)
+    row = np.repeat(np.arange(m, dtype=np.int64), counts)
+    ev_position = np.concatenate((position[row], position[row + m]))
+    labels = codes[gather]
+    ev_label = np.concatenate((labels, labels))
+    by_label = np.argsort(ev_label * (2 * m) + ev_position)
+    step = np.where(by_label < n_pairs, 1, -1)
+    depth = np.cumsum(step)
+    edge = np.flatnonzero(
+        ((step > 0) & (depth == 1)) | ((step < 0) & (depth == 0))
+    )
+    edge_event = by_label[edge]
+    covered = np.cumsum(
+        np.bincount(
+            ev_position[edge_event],
+            weights=code_weights[ev_label[edge_event]] * step[edge],
+            minlength=2 * m,
+        )
+    )
+    # The covered weight after batch k, read at the batch's last event.
+    return SlabSet(gap_lo, gap_hi, covered[starts[idx + 1] - 1])
 
 
 def spanning_mask(

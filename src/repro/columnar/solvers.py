@@ -5,35 +5,53 @@ Both solvers answer the same queries as their object-path counterparts
 and return the same :class:`~repro.core.result.BRSResult` type, but spend
 their inner loops inside NumPy instead of per-event Python:
 
-* :func:`columnar_slicebrs` — slicing, ScanSlab, and SearchMR as array
-  sweeps, with the same best-first bound pruning (processed in descending
-  bound order, which visits exactly the entries a shared heap would).
+* :func:`columnar_slicebrs` — SliceBRS for SUM and coverage scores
+  (influence, and every coverage reduced with ``merged``, included):
+  slicing, *ScanSlab* and *SearchMR* as array sweeps, visiting slices and
+  slabs in exactly the order SliceBRS pops them from its heap.
 * :func:`columnar_oe_maxrs` — the OE pass as one global ScanSlab followed
   by bound-descending per-slab prefix-sum sweeps (the "prefix-max sweep"
   replacement for the segment tree).
+* :func:`columnar_best_region` — the exact entry every solve calls: the
+  kernel where it covers the score function, object-path SliceBRS (a
+  counted fallback) everywhere else.
 
-Modular (SUM) scores only: a sweep's active weight is then a plain running
-sum, which is what vectorizes.  General submodular functions stay on the
-object path — :func:`columnar_best_region` dispatches and falls back.
+Bounds.  A SUM sweep's bound is its running weight sum; a coverage
+sweep's is the covered label weight of a label-union sweep
+(:func:`~repro.columnar.kernels.covered_intervals`) times ``f.scale``; slice
+bounds come from one ``batch_value`` pass over every slice.
+
+Order.  Slices enter one heap as ``(-bound, seq)`` with ``seq`` in x
+order.  Scanning a slice keeps the slabs whose bound ties or beats the
+best score (SliceBRS's non-strict keep), gives them consecutive ``seq``
+numbers in sweep order and sorts them by ``(-bound, seq)`` into one
+run; only a run's head sits on the heap, and popping it pushes the
+run's next slab.  That k-way merge pops exactly the sequence SliceBRS's
+one-entry-per-slab heap pops, so both planes stop at the same entry and
+pick the same center among tied ones: within a slab the leftmost
+candidate with the largest value, if it beats the best score.
 
 Every *reported* score (incumbent updates included) is recomputed from
 the candidate's exact member-id set with ``f.value``, never read off the
-kernel's cumulative sums, so columnar and object answers agree exactly
-whenever the weights' partial sums are exactly representable and to float
-rounding otherwise.
+kernel's running sums, so columnar and object answers agree exactly
+whenever partial sums are exactly representable (unit, integer or
+dyadic weights, any ``scale``) and to float rounding otherwise.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import abc
-from typing import Any, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.columnar.dataset import ColumnarDataset, as_columnar
 from repro.columnar.kernels import (
+    SlabSet,
     assign_slices,
+    covered_intervals,
     maximal_intervals,
     siri_intervals,
     spanning_mask,
@@ -41,8 +59,10 @@ from repro.columnar.kernels import (
 )
 from repro.core.result import BRSResult
 from repro.core.siri import cell_center
+from repro.core.slicebrs import SliceBRS, publish_solve
 from repro.core.stats import SearchStats
 from repro.functions.base import SetFunction
+from repro.functions.coverage import CoverageFunction
 from repro.functions.weighted_sum import SumFunction
 from repro.geometry.point import Point
 from repro.obs.metrics import active_registry
@@ -51,15 +71,69 @@ from repro.runtime.budget import Budget, effective_budget
 from repro.runtime.errors import BudgetExceededError, InvalidQueryError
 
 
-def _weights_array(f: SumFunction, n: int) -> np.ndarray:
-    """The SUM function's weights as a float64 array."""
-    weights = np.ascontiguousarray(f.weights, dtype=np.float64)
-    if weights.size != n:
-        raise InvalidQueryError(
-            f"score function covers {weights.size} objects but the dataset "
-            f"has {n}"
-        )
-    return weights
+class _SumScore:
+    """SUM bounds: running weight sums."""
+
+    def __init__(self, f: SumFunction, n: int) -> None:
+        self.weights = np.ascontiguousarray(f.weights, dtype=np.float64)
+        if self.weights.size != n:
+            raise InvalidQueryError(
+                f"score function covers {self.weights.size} objects but the "
+                f"dataset has {n}"
+            )
+
+    def slice_bounds(self, objects: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Each slice's total weight."""
+        return np.add.reduceat(self.weights[objects], starts)
+
+    def intervals(
+        self, lo: np.ndarray, hi: np.ndarray, objects: np.ndarray
+    ) -> SlabSet:
+        """Trigger intervals with the active weight as bound."""
+        return maximal_intervals(lo, hi, self.weights[objects])
+
+
+class _CoverageScore:
+    """Coverage bounds: covered label weight, by a label-union sweep."""
+
+    def __init__(self, f: CoverageFunction, n: int) -> None:
+        self.f = f
+        self.csr = f._code_csr()
+        if self.csr[1].size - 1 != n:
+            raise InvalidQueryError(
+                f"score function covers {self.csr[1].size - 1} objects but "
+                f"the dataset has {n}"
+            )
+
+    def slice_bounds(self, objects: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """``f`` of each slice's objects, in one ``batch_value`` call."""
+        return self.f.batch_value(objects, np.append(starts, objects.size))
+
+    def intervals(
+        self, lo: np.ndarray, hi: np.ndarray, objects: np.ndarray
+    ) -> SlabSet:
+        """Trigger intervals with ``f`` of the rows active in each."""
+        gaps = covered_intervals(lo, hi, objects, self.csr)
+        return SlabSet(gaps.lo, gaps.hi, self.f.scale * gaps.bound)
+
+
+_Score = Union[_SumScore, _CoverageScore]
+
+#: The score functions the kernel has bounds for.
+_KERNEL_SCORES = (SumFunction, CoverageFunction)
+
+
+def _score_of(f: SetFunction, n: int) -> _Score:
+    """The kernel's bound arithmetic for ``f`` (one of :data:`_KERNEL_SCORES`)."""
+    if isinstance(f, SumFunction):
+        return _SumScore(f, n)
+    if isinstance(f, CoverageFunction):
+        return _CoverageScore(f, n)
+    raise InvalidQueryError(
+        f"columnar_slicebrs runs SUM and coverage scores, not "
+        f"{type(f).__name__}; columnar_best_region sends other "
+        "functions to the object path"
+    )
 
 
 def _exact_value(f: SetFunction, ids: np.ndarray) -> float:
@@ -78,7 +152,7 @@ def _finish(
     status: str,
     remaining_upper: float,
 ) -> BRSResult:
-    """Fallback handling and result assembly shared by both solvers."""
+    """Fallback handling and result assembly."""
     if best_point is None:
         # Every candidate scored f(emptyset) (or nothing beat the caller's
         # initial_best); any object's own location is then a valid answer
@@ -100,28 +174,50 @@ def _finish(
     )
 
 
+class _Run:
+    """One scanned slice's kept slabs, in heap order."""
+
+    __slots__ = ("slice", "lo", "hi", "bound", "seq", "next")
+
+    def __init__(
+        self, slice_index: int, slabs: SlabSet, order: np.ndarray, seq: np.ndarray
+    ) -> None:
+        self.slice = slice_index
+        self.lo = slabs.lo[order]
+        self.hi = slabs.hi[order]
+        self.bound = slabs.bound[order]
+        self.seq = seq
+        self.next = 0
+
+    def head(self, run_id: int) -> Tuple[float, int, int]:
+        """The heap entry of the run's next slab."""
+        k = self.next
+        return (-float(self.bound[k]), int(self.seq[k]), run_id)
+
+
 def columnar_slicebrs(
     data: Any,
-    f: SumFunction,
+    f: SetFunction,
     a: float,
     b: float,
     theta: float = 1.0,
     initial_best: float = 0.0,
     budget: Optional[Budget] = None,
 ) -> BRSResult:
-    """Exact SliceBRS for modular scores, vectorized end to end.
+    """Exact SliceBRS for SUM and coverage scores, vectorized end to end.
 
-    The search is the paper's: slice the space (width ``theta * b``),
-    bound each slice by its total weight, scan surviving slices into
-    maximal slabs (*ScanSlab*), and sweep surviving slabs (*SearchMR*) —
-    but each stage is one array kernel, and entries are processed in
-    descending bound order, which prunes exactly where the object path's
-    shared best-first heap does.
+    The search is the paper's, in SliceBRS's own heap order (module
+    note): slice the space (width ``theta * b``), bound each slice by
+    ``f`` of its objects, scan slices into maximal slabs (*ScanSlab*) and
+    sweep slabs (*SearchMR*), best bound first, until a bound is zero or
+    below the best score.  The answer, the center among tied optima and
+    the search counters are SliceBRS's wherever partial sums are exact.
 
     Args:
         data: a :class:`ColumnarDataset`, an object with a ``columns()``
             accessor, or a plain point sequence.
-        f: the modular score; must be a :class:`SumFunction`.
+        f: a :class:`SumFunction` or :class:`CoverageFunction` (influence
+            and ``merged`` reductions included).
         a: query-rectangle height.
         b: query-rectangle width.
         theta: slice width as a multiple of ``b``.
@@ -134,143 +230,164 @@ def columnar_slicebrs(
 
     Raises:
         InvalidQueryError: on an empty instance, a bad rectangle or theta,
-            or a non-SUM score function (use :func:`columnar_best_region`
-            to fall back to the object path instead).
+            or a score function the kernel has no bounds for (use
+            :func:`columnar_best_region` to send those to the object
+            path).
     """
-    if not isinstance(f, SumFunction):
-        raise InvalidQueryError(
-            "columnar_slicebrs vectorizes modular (SumFunction) scores only; "
-            "use columnar_best_region to dispatch other functions to the "
-            "object path"
-        )
     validate_extent(a, b)
     if not (theta > 0 and np.isfinite(theta)):
         raise InvalidQueryError(f"theta must be positive and finite, got {theta}")
     ds = as_columnar(data)
-    weights = _weights_array(f, ds.n)
+    score = _score_of(f, ds.n)
     budget = effective_budget(budget)
-    registry = active_registry()
     tracer = active_tracer()
     start_time = time.perf_counter()
     evals_before = budget.evals if budget is not None else 0
+    with tracer.span(
+        "slicebrs.solve", n_objects=ds.n, theta=theta, slicing=True,
+        path="columnar",
+    ):
+        result = _search(ds, f, score, a, b, theta, initial_best, budget)
+    publish_solve(result, time.perf_counter() - start_time, budget, evals_before)
+    return result
 
+
+def _search(
+    ds: ColumnarDataset,
+    f: SetFunction,
+    score: _Score,
+    a: float,
+    b: float,
+    theta: float,
+    initial_best: float,
+    budget: Optional[Budget],
+) -> BRSResult:
+    """The best-first search itself, inside the ``slicebrs.solve`` span."""
+    tracer = active_tracer()
     stats = SearchStats(n_objects=ds.n)
     best_value = max(0.0, initial_best)
     best_point: Optional[Point] = None
+
+    # The slice-ordered replicas; slice j is [starts[j], ends[j]).  Only
+    # they stay alive through the search.
+    y_min, y_max = siri_intervals(ds.ys, a)
+    sl = assign_slices(*siri_intervals(ds.xs, b), theta * b)
+    rows, row_xlo, row_xhi = sl.row_ids, sl.clipped_lo, sl.clipped_hi
+    starts = sl.slice_starts
+    ends = np.append(starts[1:], rows.size)
+    row_ylo, row_yhi = y_min[rows], y_max[rows]
+    del sl, y_min, y_max
+
+    stats.n_slices = int(starts.size)
+    try:
+        if budget is not None:
+            budget.charge(stats.n_slices)
+        bounds = score.slice_bounds(rows, starts)
+    except BudgetExceededError:
+        # No slice bound was paid for; f of everything soundly covers
+        # all unexplored work (monotonicity).
+        return _finish(
+            ds, f, a, b, None, best_value, stats, "timeout",
+            f.value(range(ds.n)),
+        )
+
+    # Slice entries carry run id -1; a slab entry names its run.
+    heap: List[Tuple[float, int, int]] = [
+        (-bound, seq, -1) for seq, bound in enumerate(bounds.tolist())
+    ]
+    heapq.heapify(heap)
+    runs: List[Optional[_Run]] = []
+    next_seq = len(heap)
     status = "ok"
-    remaining_upper = 0.0
-
-    with tracer.span(
-        "columnar.slicebrs", n_objects=ds.n, theta=theta
-    ):
-        x_min, x_max = siri_intervals(ds.xs, b)
-        y_min, y_max = siri_intervals(ds.ys, a)
-        sl = assign_slices(x_min, x_max, theta * b)
-        n_occupied = int(sl.slice_starts.size)
-        stats.n_slices = n_occupied
-
-        bounds = np.empty(0, dtype=np.float64)
-        try:
+    bound = 0.0
+    try:
+        while heap:
+            neg_bound, seq, run_id = heapq.heappop(heap)
+            bound = -neg_bound
             if budget is not None:
-                budget.charge(n_occupied)
-            if sl.row_ids.size:
-                ends = np.append(sl.slice_starts[1:], sl.row_ids.size)
-                bounds = np.add.reduceat(weights[sl.row_ids], sl.slice_starts)
-        except BudgetExceededError:
-            # No slice bound was paid for; f of everything soundly covers
-            # all unexplored work (monotonicity).
-            status = "timeout"
-            remaining_upper = f.value(range(ds.n))
-
-        if status == "ok":
-            order = np.argsort(-bounds, kind="stable")
-            try:
-                for j in order:
-                    slice_bound = float(bounds[j])
-                    remaining_upper = slice_bound
-                    # Descending order: once a bound is prunable (or zero)
-                    # every remaining one is too.
-                    if slice_bound <= 0.0 or slice_bound < best_value:
-                        tracer.event(
-                            "columnar.prune_stop",
-                            bound=slice_bound,
-                            best=best_value,
+                budget.check()
+            if bound <= 0.0:
+                tracer.event(
+                    "slicebrs.prune_stop", reason="zero_bound", best=best_value
+                )
+                break
+            if bound < best_value:
+                tracer.event(
+                    "slicebrs.prune_stop", reason="bound", bound=bound,
+                    best=best_value,
+                )
+                break
+            if run_id < 0:
+                lo, hi = int(starts[seq]), int(ends[seq])
+                stats.n_slices_scanned += 1
+                with tracer.span("slicebrs.slice", upper=bound):
+                    with tracer.span("sweep.scan_slab", n_rows=hi - lo):
+                        slabs = score.intervals(
+                            row_ylo[lo:hi], row_yhi[lo:hi], rows[lo:hi]
                         )
-                        break
-                    lo = int(sl.slice_starts[j])
-                    hi = int(ends[j])
-                    rid = sl.row_ids[lo:hi]
-                    ymin_s = y_min[rid]
-                    ymax_s = y_max[rid]
-                    w_s = weights[rid]
-                    stats.n_slices_scanned += 1
-                    stats.n_pushes += int(rid.size)
-
-                    slabs = maximal_intervals(ymin_s, ymax_s, w_s)
                     n_slabs = int(slabs.lo.size)
                     stats.n_slabs += n_slabs
+                    stats.n_pushes += hi - lo
                     if budget is not None:
                         budget.charge(n_slabs)
-                    slab_order = np.argsort(-slabs.bound, kind="stable")
-                    for k in slab_order:
-                        slab_bound = float(slabs.bound[k])
-                        remaining_upper = max(slab_bound, slice_bound)
-                        if slab_bound <= 0.0 or slab_bound < best_value:
-                            break
-                        slab_lo = float(slabs.lo[k])
-                        slab_hi = float(slabs.hi[k])
-                        span = spanning_mask(ymin_s, ymax_s, slab_lo, slab_hi)
-                        gx_lo = sl.clipped_lo[lo:hi][span]
-                        gx_hi = sl.clipped_hi[lo:hi][span]
-                        gw = w_s[span]
-                        stats.n_slabs_searched += 1
-                        stats.n_pushes += int(gw.size)
+                    kept = np.flatnonzero(slabs.bound >= best_value)
+                    if kept.size:
+                        rank = np.argsort(-slabs.bound[kept], kind="stable")
+                        run = _Run(seq, slabs, kept[rank], next_seq + rank)
+                        next_seq += int(kept.size)
+                        runs.append(run)
+                        heapq.heappush(heap, run.head(len(runs) - 1))
+                continue
 
-                        gaps = maximal_intervals(gx_lo, gx_hi, gw)
-                        n_gaps = int(gaps.lo.size)
-                        stats.n_candidates += n_gaps
-                        if budget is not None:
-                            budget.charge(n_gaps)
-                        if n_gaps == 0:
-                            continue
-                        top = int(np.argmax(gaps.bound))
-                        g_lo = float(gaps.lo[top])
-                        g_hi = float(gaps.hi[top])
-                        member_ids = rid[span][
-                            spanning_mask(gx_lo, gx_hi, g_lo, g_hi)
-                        ]
-                        exact = _exact_value(f, member_ids)
-                        if exact > best_value:
-                            best_value = exact
-                            best_point = Point(
-                                cell_center(g_lo, g_hi),
-                                cell_center(slab_lo, slab_hi),
-                            )
-                else:
-                    # Exhausted without a prune stop: nothing unexplored.
-                    remaining_upper = 0.0
-            except BudgetExceededError:
-                # Bound-descending processing: the entry in flight caps
-                # everything still unprocessed.
-                status = "timeout"
-
-    stats.publish(registry, "columnar_slicebrs")
-    if registry.enabled:
-        registry.histogram(
-            "brs_columnar_solve_seconds", help="columnar solve wall time"
-        ).observe(time.perf_counter() - start_time)
-        if budget is not None:
-            registry.counter(
-                "brs_budget_evals_total",
-                help="score evaluations charged to budgets",
-            ).inc(budget.evals - evals_before)
-        if status != "ok":
-            registry.counter(
-                "brs_timeout_results_total",
-                help="solves that returned a non-ok anytime answer",
-            ).inc()
+            run = runs[run_id]
+            assert run is not None
+            k = run.next
+            run.next += 1
+            if run.next < run.seq.size:
+                heapq.heappush(heap, run.head(run_id))
+            else:
+                runs[run_id] = None
+            slab_lo, slab_hi = float(run.lo[k]), float(run.hi[k])
+            lo, hi = int(starts[run.slice]), int(ends[run.slice])
+            stats.n_slabs_searched += 1
+            with tracer.span("slicebrs.slab", upper=bound):
+                span = spanning_mask(
+                    row_ylo[lo:hi], row_yhi[lo:hi], slab_lo, slab_hi
+                )
+                members = rows[lo:hi][span]
+                gx_lo = row_xlo[lo:hi][span]
+                gx_hi = row_xhi[lo:hi][span]
+                with tracer.span("sweep.search_mr", n_rows=int(members.size)):
+                    gaps = score.intervals(gx_lo, gx_hi, members)
+                n_gaps = int(gaps.lo.size)
+                stats.n_candidates += n_gaps
+                stats.n_pushes += int(members.size)
+                if budget is not None:
+                    budget.charge(n_gaps)
+                if n_gaps == 0:
+                    continue
+                top = int(np.argmax(gaps.bound))
+                if not gaps.bound[top] > best_value:
+                    continue
+                g_lo = float(gaps.lo[top])
+                g_hi = float(gaps.hi[top])
+                exact = _exact_value(
+                    f, members[spanning_mask(gx_lo, gx_hi, g_lo, g_hi)]
+                )
+                if exact > best_value:
+                    best_value = exact
+                    best_point = Point(
+                        cell_center(g_lo, g_hi), cell_center(slab_lo, slab_hi)
+                    )
+        else:
+            # Exhausted without a prune stop: nothing is left unexplored.
+            bound = 0.0
+    except BudgetExceededError:
+        # Bound-descending processing: the entry in flight caps
+        # everything still unprocessed.
+        status = "timeout"
     return _finish(
-        ds, f, a, b, best_point, best_value, stats, status, remaining_upper
+        ds, f, a, b, best_point, best_value, stats, status, bound
     )
 
 
@@ -328,28 +445,31 @@ def columnar_best_region(
     initial_best: float = 0.0,
     budget: Optional[Budget] = None,
 ) -> BRSResult:
-    """Solve BRS on the columnar plane when possible, object path otherwise.
+    """The exact rung: SliceBRS on the columnar plane wherever it can run.
 
-    Modular (:class:`SumFunction`) scores run :func:`columnar_slicebrs`;
-    any other score function falls back to the object-path
-    :class:`~repro.core.slicebrs.SliceBRS` (counted by
-    ``brs_columnar_fallbacks_total``), so callers can use this entry
-    point unconditionally.  The fallback solves the caller's own point
-    list when there is one (a point sequence, or a dataset's ``points``
-    list); other inputs are solved on their columns' points.
+    SUM and coverage scores (influence and ``merged`` reductions
+    included) run :func:`columnar_slicebrs`.  Any other score function
+    falls back to the object-path :class:`~repro.core.slicebrs.SliceBRS`:
+    the fallback is counted by ``brs_columnar_fallbacks_total`` and
+    traced as a ``columnar.fallback`` event naming the function's class
+    (``fallback_reason``) just before the object path's
+    ``slicebrs.solve`` span (``path="object"``).  The fallback solves the
+    caller's own point list when there is one (a point sequence, or a
+    dataset's ``points`` list); other inputs are solved on their columns'
+    points.
     """
-    if isinstance(f, SumFunction):
+    if isinstance(f, _KERNEL_SCORES):
         return columnar_slicebrs(
             data, f, a, b, theta=theta, initial_best=initial_best, budget=budget
         )
+    reason = type(f).__name__
+    active_tracer().event("columnar.fallback", fallback_reason=reason)
     registry = active_registry()
     if registry.enabled:
         registry.counter(
             "brs_columnar_fallbacks_total",
-            help="columnar dispatches that fell back to the object path",
+            help="exact solves the columnar kernel could not run (object path)",
         ).inc()
-    from repro.core.slicebrs import SliceBRS
-
     return SliceBRS(theta=theta).solve(
         _object_points(data), f, a, b,
         initial_best=initial_best, budget=budget,

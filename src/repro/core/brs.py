@@ -5,10 +5,10 @@
 the serve tier's :class:`~repro.serve.solvecore.QuerySolver`.  It starts
 at the requested rung of exact → cover → grid:
 
-* **exact** — SliceBRS; on the columnar plane when the caller hands in
-  columns (:func:`~repro.columnar.solvers.columnar_best_region`: the
-  vectorized kernel for SUM scores, a counted object-path fallback for
-  everything else);
+* **exact** — SliceBRS through
+  :func:`~repro.columnar.solvers.columnar_best_region`: the vectorized
+  kernel for SUM and coverage scores (influence included), a counted
+  object-path fallback for every other score function;
 * **cover** — CoverBRS, a certified constant-factor approximation
   (Theorem 4 for ``c = 1/3``);
 * **grid** — :func:`~repro.core.gridscan.coarse_grid_scan`, near-linear
@@ -33,7 +33,6 @@ from repro.core.coverbrs import CoverBRS
 from repro.core.gridscan import coarse_grid_scan
 from repro.core.naive import NaiveBRS
 from repro.core.result import BRSResult, merge_anytime
-from repro.core.slicebrs import SliceBRS
 from repro.functions.base import SetFunction
 from repro.geometry.point import Point
 from repro.index.quadtree import Quadtree
@@ -42,6 +41,8 @@ from repro.obs.trace import active_tracer
 from repro.runtime.budget import Budget, effective_budget
 from repro.runtime.errors import InvalidQueryError
 
+#: ``"columnar"`` is kept as another name for ``"slice"``: both select the
+#: one exact rung.
 _METHODS = ("slice", "cover", "naive", "columnar")
 
 #: Full-quality rung: one exact solve.
@@ -112,12 +113,10 @@ def solve(
         theta: slice width as a multiple of ``b``.
         c: cover parameter of the cover rung.
         quadtree: a pre-built index over ``points`` the cover rung reuses.
-        columns: the same objects in a form
+        columns: pre-built columns of the same objects, in a form
             :func:`~repro.columnar.dataset.as_columnar` accepts (a served
-            entry with cached columns, or ``points`` itself).  Given, the
-            exact rung runs :func:`~repro.columnar.solvers.columnar_best_region`
-            on it; without it, object-path SliceBRS on ``points``, whose
-            center can differ from the kernel's among equal-scoring ones.
+            entry with cached columns); the exact rung sweeps them instead
+            of transposing ``points``.
 
     Returns:
         The merged answer.  ``rung`` names the rung whose region it is.
@@ -153,17 +152,14 @@ def solve(
             if budget is not None:
                 share = 1.0 if final else LADDER_FRACTION
                 sub = budget.sub(time_fraction=share, eval_fraction=share)
-            if step == RUNG_EXACT and columns is None:
-                answer = SliceBRS(theta=theta).solve(
-                    points, f, a, b, budget=sub
-                )
-            elif step == RUNG_EXACT:
+            if step == RUNG_EXACT:
                 # Resolved per call: repro.columnar imports repro.core at
                 # load time.
                 from repro.columnar.solvers import columnar_best_region
 
                 answer = columnar_best_region(
-                    columns, f, a, b, theta=theta, budget=sub
+                    points if columns is None else columns, f, a, b,
+                    theta=theta, budget=sub,
                 )
             elif step == RUNG_COVER:
                 answer = CoverBRS(c=c, theta=theta).solve(
@@ -219,11 +215,11 @@ def best_region(
         f: submodular monotone aggregate score function.
         a: query-rectangle height.
         b: query-rectangle width.
-        method: ``"slice"`` (exact SliceBRS), ``"cover"`` (approximate
-            CoverBRS), ``"naive"`` (brute force; tiny instances only), or
-            ``"columnar"`` (exact vectorized kernels from
-            :mod:`repro.columnar`; weighted-sum functions run fully
-            vectorized, anything else falls back to object-path SliceBRS).
+        method: ``"slice"`` (exact SliceBRS: the vectorized kernel of
+            :mod:`repro.columnar` for SUM and coverage scores, object-path
+            SliceBRS for any other function), ``"cover"`` (approximate
+            CoverBRS), or ``"naive"`` (brute force; tiny instances only).
+            ``"columnar"`` is accepted as another name for ``"slice"``.
         theta: slice width as a multiple of ``b`` (ignored by ``"naive"``).
         c: cover parameter of the cover rung; defaults to 1/3 (the
             paper's CoverBRS4, a 1/4-approximation).
@@ -250,5 +246,4 @@ def best_region(
         points, f, a, b,
         rung=RUNG_COVER if method == "cover" else RUNG_EXACT,
         budget=budget, theta=theta, c=1.0 / 3.0 if c is None else c,
-        columns=points if method == "columnar" else None,
     )

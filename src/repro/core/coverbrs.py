@@ -6,7 +6,9 @@ instances:
 1. select a c-cover ``T`` of the objects with the O(n) quadtree heuristic;
 2. build the reduced instance: function ``f_T`` over the representatives
    (Definition 8) and query rectangle ``(1-c)a x (1-c)b``;
-3. solve the reduced instance exactly with SliceBRS;
+3. solve the reduced instance exactly with SliceBRS (the exact entry,
+   :func:`~repro.columnar.solvers.columnar_best_region`, so a coverage or
+   SUM reduction runs on the columnar kernel);
 4. report the found center's score *on the original instance*.
 
 The returned score is within a constant factor of the optimum: 1/4 for
@@ -21,11 +23,11 @@ from typing import Optional, Sequence
 
 from repro.core.result import BRSResult
 from repro.core.siri import objects_in_region
-from repro.core.slicebrs import SliceBRS
 from repro.core.stats import CoverStats
 from repro.cover.quadtree_cover import select_cover
 from repro.functions.base import SetFunction
 from repro.functions.reduced import reduce_over_cover
+from repro.functions.validate import check_submodular_monotone
 from repro.geometry.point import Point
 from repro.index.quadtree import Quadtree
 from repro.obs.metrics import active_registry
@@ -46,8 +48,9 @@ class CoverBRS:
             ``c = 1/3`` (1/4-approximate) and *CoverBRS9* is ``c = 1/2``
             (1/9-approximate).
         theta: slice-width multiple handed to the inner SliceBRS.
-        validate: verify the selected cover's Definition-7 property and the
-            inner function contract (slow; for debugging).
+        validate: verify the selected cover's Definition-7 property and
+            spot-check that the reduced function is submodular monotone
+            (slow; for debugging).
 
     Raises:
         InvalidQueryError: if ``c`` is outside (0, 1).
@@ -106,10 +109,18 @@ class CoverBRS:
             )
 
             reduced_f = reduce_over_cover(f, cover.groups)
-            inner = SliceBRS(theta=self.theta, validate=self.validate)
-            reduced = inner.solve(
+            if self.validate:
+                n_reps = len(cover.points)
+                check_submodular_monotone(
+                    reduced_f, list(range(0, n_reps, max(1, n_reps // 16)))
+                )
+            # Resolved per call: repro.columnar imports repro.core at load
+            # time.
+            from repro.columnar.solvers import columnar_best_region
+
+            reduced = columnar_best_region(
                 cover.points, reduced_f, (1.0 - self.c) * a, (1.0 - self.c) * b,
-                budget=budget,
+                theta=self.theta, budget=budget,
             )
 
             # Quality is always measured on the original instance (Section

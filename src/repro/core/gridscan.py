@@ -2,9 +2,11 @@
 
 When neither SliceBRS nor CoverBRS can finish inside the budget, this
 solver guarantees *some* useful answer in near-linear time: lay a ``b x a``
-grid over the objects, give each cell the objects the region centered on
-it holds (under :func:`~repro.core.siri.objects_in_region`'s open-region
-predicate, so an object on a cell's low edge belongs to no cell), order
+grid over the objects, anchored half a cell below the data minimum so the
+minimum-x and minimum-y objects sit at cell centers, give each cell the
+objects the region centered on it holds (under
+:func:`~repro.core.siri.objects_in_region`'s open-region predicate, so an
+object on a cell's low edge belongs to no cell), order
 the occupied cells by population (a free density proxy), and score each
 cell's region until the budget runs out.  Every answer it returns is a
 real region with its true score — only optimality is surrendered, and the
@@ -68,8 +70,10 @@ def coarse_grid_scan(
     registry = active_registry()
     start_time = time.perf_counter()
 
-    x0 = min(p.x for p in points)
-    y0 = min(p.y for p in points)
+    # Half a cell below the minimum: the minimum objects are then cell
+    # centers, not low cell edges no centered open region holds.
+    x0 = min(p.x for p in points) - b / 2.0
+    y0 = min(p.y for p in points) - a / 2.0
 
     def mid(v0: float, i: int, side: float) -> float:
         return v0 + (i + 0.5) * side

@@ -17,12 +17,22 @@ Slice and slab processing share one best-first priority queue: an entry is
 expanded only when its upper bound still exceeds the best score found, which
 realizes both pruning rules of the paper with a single stopping test.
 
-Observability: a solve emits a ``slicebrs.solve`` span enclosing one
+This class is the *object path*: it runs every score function through
+its incremental evaluator.  The exact rung every solve calls
+(:func:`repro.columnar.solvers.columnar_best_region`) runs SUM and
+coverage scores on the columnar kernel instead, which pops the same heap
+order; this class stays the fallback for other score functions, the
+reference the differential suites compare against, and the home of the
+ablation options the paper's experiments use.
+
+Observability: a solve emits a ``slicebrs.solve`` span (``path="object"``;
+the kernel opens the same tree with ``path="columnar"``) enclosing one
 ``slicebrs.slice`` span per slice scanned and one ``slicebrs.slab`` span
 per slab searched (which in turn encloses the ``sweep.search_mr`` span),
 plus a ``slicebrs.prune_stop`` event when the best-first loop terminates
 on a bound.  Work counters go to the per-run :class:`SearchStats` as ever
-and are published into the ambient metrics registry at the end.
+and are published into the ambient metrics registry at the end
+(:func:`publish_solve`, shared by both planes).
 """
 
 from __future__ import annotations
@@ -134,7 +144,6 @@ class SliceBRS:
         """
         budget = effective_budget(budget)
         tracer = active_tracer()
-        registry = active_registry()
         start_time = time.perf_counter()
         evals_before = budget.evals if budget is not None else 0
         with tracer.span(
@@ -142,23 +151,12 @@ class SliceBRS:
             n_objects=len(points),
             theta=self.theta,
             slicing=self.slicing,
+            path="object",
         ):
             result = self._solve(points, f, a, b, initial_best, budget, tracer)
-        result.stats.publish(registry, "slicebrs")
-        if registry.enabled:
-            registry.histogram(
-                "brs_slicebrs_solve_seconds", help="SliceBRS solve wall time"
-            ).observe(time.perf_counter() - start_time)
-            if budget is not None:
-                registry.counter(
-                    "brs_budget_evals_total",
-                    help="score evaluations charged to budgets",
-                ).inc(budget.evals - evals_before)
-            if result.status != "ok":
-                registry.counter(
-                    "brs_timeout_results_total",
-                    help="solves that returned a non-ok anytime answer",
-                ).inc()
+        publish_solve(
+            result, time.perf_counter() - start_time, budget, evals_before
+        )
         return result
 
     def _solve(
@@ -332,3 +330,35 @@ class SliceBRS:
         if not self.slicing:
             return [list(rows)]
         return cut_into_slices(rows, self.theta * b)
+
+
+def publish_solve(
+    result: BRSResult,
+    seconds: float,
+    budget: Optional[Budget],
+    evals_before: int,
+) -> None:
+    """Publish one finished SliceBRS solve into the ambient registry.
+
+    Both planes — this object path and the columnar kernel
+    (:func:`repro.columnar.solvers.columnar_slicebrs`) — publish the same
+    family: ``brs_slicebrs_solves_total``, ``brs_slicebrs_solve_seconds``
+    and the :class:`SearchStats` counters.
+    """
+    registry = active_registry()
+    result.stats.publish(registry, "slicebrs")
+    if not registry.enabled:
+        return
+    registry.histogram(
+        "brs_slicebrs_solve_seconds", help="SliceBRS solve wall time"
+    ).observe(seconds)
+    if budget is not None:
+        registry.counter(
+            "brs_budget_evals_total",
+            help="score evaluations charged to budgets",
+        ).inc(budget.evals - evals_before)
+    if result.status != "ok":
+        registry.counter(
+            "brs_timeout_results_total",
+            help="solves that returned a non-ok anytime answer",
+        ).inc()

@@ -51,6 +51,10 @@ class CoverageFunction(SetFunction):
         )
         self._weights: Dict[Hashable, float] = dict(label_weights or {})
         self._scale = float(scale)
+        self._csr_cache = None
+        #: ``(parent, groups)`` of a :meth:`merged` function, whose CSR is
+        #: derived from the parent's on first use.
+        self._csr_source = None
 
     @property
     def n_objects(self) -> int:
@@ -100,11 +104,29 @@ class CoverageFunction(SetFunction):
         Built once per function instance; the vocabulary is an arbitrary
         but fixed label -> small-int coding, with the per-code weight
         vector alongside so batch evaluation never touches label objects.
+        A :meth:`merged` function shares its parent's coding and weight
+        vector and gathers its rows from the parent's CSR.
         """
-        cached = getattr(self, "_csr_cache", None)
-        if cached is not None:
-            return cached
+        if self._csr_cache is not None:
+            return self._csr_cache
         import numpy as np
+
+        if self._csr_source is not None:
+            parent, groups = self._csr_source
+            codes, indptr, code_weights = parent._code_csr()
+            members, member_indptr = _flatten_groups(groups)
+            pair = _distinct_pairs(
+                (codes, indptr, code_weights), members, member_indptr
+            )
+            n_vocab = max(1, int(code_weights.size))
+            group_indptr = np.zeros(len(groups) + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(pair // n_vocab, minlength=len(groups)),
+                out=group_indptr[1:],
+            )
+            self._csr_cache = (pair % n_vocab, group_indptr, code_weights)
+            self._csr_source = None
+            return self._csr_cache
 
         code_of: Dict[Hashable, int] = {}
         code_weights = []
@@ -119,13 +141,12 @@ class CoverageFunction(SetFunction):
                     code_weights.append(self._label_weight(label))
                 flat.append(code)
             indptr[i + 1] = len(flat)
-        cached = (
+        self._csr_cache = (
             np.asarray(flat, dtype=np.int64),
             indptr,
             np.asarray(code_weights, dtype=np.float64),
         )
-        self._csr_cache = cached
-        return cached
+        return self._csr_cache
 
     def batch_value(self, members, indptr):
         """Vectorized batch coverage: distinct (group, label) pairs.
@@ -140,26 +161,14 @@ class CoverageFunction(SetFunction):
         members = np.asarray(members, dtype=np.int64)
         indptr = np.asarray(indptr, dtype=np.int64)
         n_groups = indptr.size - 1
-        codes, code_indptr, code_weights = self._code_csr()
-        n_vocab = int(code_weights.size)
+        csr = self._code_csr()
+        n_vocab = int(csr[2].size)
         if n_vocab == 0 or members.size == 0:
             return np.zeros(n_groups, dtype=np.float64)
-
-        group_of_member = np.repeat(np.arange(n_groups), np.diff(indptr))
-        counts = code_indptr[members + 1] - code_indptr[members]
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(n_groups, dtype=np.float64)
-        # Gather each member's code row: base offset + position in row.
-        offsets = np.cumsum(counts) - counts
-        gather = np.repeat(code_indptr[members], counts) + (
-            np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-        )
-        pair = np.repeat(group_of_member, counts) * n_vocab + codes[gather]
-        pair = np.unique(pair)
+        pair = _distinct_pairs(csr, members, indptr)
         return self._scale * np.bincount(
             pair // n_vocab,
-            weights=code_weights[pair % n_vocab],
+            weights=csr[2][pair % n_vocab],
             minlength=n_groups,
         )
 
@@ -170,13 +179,48 @@ class CoverageFunction(SetFunction):
         the fast path for the reduced function ``f_T`` of Definition 8 when
         the base function is coverage: the reduced function is again a
         coverage function over the same labels, so CoverBRS keeps O(delta)
-        incremental evaluation.
+        incremental evaluation.  Its CSR (:meth:`_code_csr`) is derived
+        from this function's on first use, in NumPy.
         """
         merged_labels = [
             frozenset().union(*(self._labels[i] for i in group)) if group else frozenset()
             for group in groups
         ]
-        return CoverageFunction(merged_labels, self._weights, self._scale)
+        fn = CoverageFunction(merged_labels, self._weights, self._scale)
+        fn._csr_source = (self, groups)
+        return fn
+
+
+def _flatten_groups(groups: Sequence[Sequence[int]]):
+    """Groups of object ids as a flat id array plus group boundaries."""
+    import numpy as np
+
+    sizes = np.fromiter((len(g) for g in groups), dtype=np.int64, count=len(groups))
+    indptr = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    members = np.fromiter(
+        (i for group in groups for i in group), dtype=np.int64, count=int(indptr[-1])
+    )
+    return members, indptr
+
+
+def _distinct_pairs(csr, members, indptr):
+    """Sorted distinct ``group * n_vocab + code`` of each group's members."""
+    import numpy as np
+
+    codes, code_indptr, code_weights = csr
+    n_vocab = max(1, int(code_weights.size))
+    group_of_member = np.repeat(
+        np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)
+    )
+    # Gather each member's code row: base offset + position in row.
+    starts = code_indptr[members]
+    counts = code_indptr[members + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    gather = np.repeat(starts - offsets, counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+    return np.unique(np.repeat(group_of_member, counts) * n_vocab + codes[gather])
 
 
 class CoverageEvaluator(IncrementalEvaluator):

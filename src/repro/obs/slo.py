@@ -110,7 +110,12 @@ class SLOTracker:
 
     def __init__(self, objective: SLObjective, window: int = 1024) -> None:
         self.objective = objective
-        self._window: Deque[Tuple[str, float]] = deque(maxlen=max(1, window))
+        #: The window's outcomes, oldest first.
+        self._window: Deque[str] = deque(maxlen=max(1, window))
+        #: The served latencies of the window, oldest first.
+        self._served: Deque[float] = deque()
+        #: Outcome counts over the window, kept on record and evict.
+        self._counts: Dict[str, int] = {outcome: 0 for outcome in OUTCOMES}
         self._lock = threading.Lock()
 
     def record(self, outcome: str, seconds: float = 0.0) -> None:
@@ -118,16 +123,20 @@ class SLOTracker:
         if outcome not in OUTCOMES:
             outcome = "error"
         with self._lock:
-            self._window.append((outcome, seconds))
+            window = self._window
+            if len(window) == window.maxlen:
+                evicted = window[0]
+                self._counts[evicted] -= 1
+                if evicted in _SERVED:
+                    self._served.popleft()
+            window.append(outcome)
+            self._counts[outcome] += 1
+            if outcome in _SERVED:
+                self._served.append(seconds)
 
     def _collect(self) -> Tuple[List[float], Dict[str, int]]:
         with self._lock:
-            window = list(self._window)
-        latencies = [s for outcome, s in window if outcome in _SERVED]
-        counts = {outcome: 0 for outcome in OUTCOMES}
-        for outcome, _ in window:
-            counts[outcome] += 1
-        return latencies, counts
+            return list(self._served), dict(self._counts)
 
     def snapshot(self) -> Dict[str, Any]:
         """Live SLO state: percentiles, burn rate, shed ratio, verdicts.

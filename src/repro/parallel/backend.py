@@ -44,11 +44,11 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import multiprocessing
 
+from repro.columnar.solvers import columnar_best_region
 from repro.core.coverbrs import CoverBRS
 from repro.core.partitioned import Shard, plan_shards
 from repro.core.result import BRSResult
 from repro.core.siri import objects_in_region
-from repro.core.slicebrs import SliceBRS
 from repro.core.stats import SearchStats
 from repro.functions.base import SetFunction
 from repro.functions.reduced import reduce_over_cover
@@ -250,7 +250,6 @@ def _solve_shards_serial(
     from the best score any earlier window found) and collects monotone
     upper bounds for windows the budget cannot afford.
     """
-    solver = SliceBRS(theta=theta)
     for shard in shards:
         if budget is not None and budget.expired():
             state.timed_out = True
@@ -259,8 +258,8 @@ def _solve_shards_serial(
         sub_points = [points[i] for i in shard.object_ids]
         sub_f = reduce_over_cover(f, [[i] for i in shard.object_ids])
         try:
-            result = solver.solve(
-                sub_points, sub_f, a, b,
+            result = columnar_best_region(
+                sub_points, sub_f, a, b, theta=theta,
                 initial_best=state.best_score, budget=budget,
             )
         except BudgetExceededError:

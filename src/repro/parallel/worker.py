@@ -26,7 +26,10 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.slicebrs import SliceBRS
+import numpy as np
+
+from repro.columnar.dataset import ColumnarDataset
+from repro.columnar.solvers import columnar_best_region
 from repro.core.stats import SearchStats
 from repro.functions.base import SetFunction
 from repro.functions.reduced import reduce_over_cover
@@ -53,7 +56,7 @@ class WorkerPayload:
         coords: optional ``(xs, ys)`` float64 array pair replacing
             :attr:`points` — two contiguous buffers pickle far cheaper
             than a tuple of Point objects under ``spawn``, and workers
-            materialize only the Points each shard actually touches.
+            build only each shard's own columns.
     """
 
     points: Optional[Tuple[Point, ...]]
@@ -221,15 +224,15 @@ def solve_shard(task: ShardTask) -> ShardOutcome:
     theta: float = _STATE["theta"]  # type: ignore[assignment]
 
     coords = _STATE.get("coords")
+    sub_data: Any
     if coords is not None:
-        # Columnar bootstrap: materialize only the shard's Points.
+        # Columnar bootstrap: the shard's own columns, no Points.
         xs, ys = coords
-        sub_points = [
-            Point(float(xs[i]), float(ys[i])) for i in task.object_ids
-        ]
+        ids = np.asarray(task.object_ids, dtype=np.int64)
+        sub_data = ColumnarDataset(xs[ids], ys[ids])
     else:
         points: Sequence[Point] = _STATE["points"]  # type: ignore[assignment]
-        sub_points = [points[i] for i in task.object_ids]
+        sub_data = [points[i] for i in task.object_ids]
     sub_f = reduce_over_cover(fn, [[i] for i in task.object_ids])
     budget = (
         Budget(deadline=task.deadline, max_evals=task.max_evals)
@@ -243,8 +246,8 @@ def solve_shard(task: ShardTask) -> ShardOutcome:
     )
     tracer = Tracer(trace_buffer) if trace_buffer is not None else None
     with metrics_scope(registry), trace_scope(tracer):
-        result = SliceBRS(theta=theta).solve(
-            sub_points, sub_f, a, b,
+        result = columnar_best_region(
+            sub_data, sub_f, a, b, theta=theta,
             initial_best=task.incumbent, budget=budget,
         )
 

@@ -462,8 +462,19 @@ class AsyncServeEngine:
     # -- scheduler -------------------------------------------------------
 
     def _wake_scheduler(self) -> None:
+        """Wake the scheduler task: at once on the loop thread (the HTTP
+        front end's submits and every completion), else through the
+        loop's self-pipe."""
         loop, wake = self._loop, self._wake
-        if loop is not None and wake is not None and loop.is_running():
+        if loop is None or wake is None or not loop.is_running():
+            return
+        try:
+            on_loop = asyncio.get_running_loop() is loop
+        except RuntimeError:
+            on_loop = False
+        if on_loop:
+            wake.set()
+        else:
             loop.call_soon_threadsafe(wake.set)
 
     async def _scheduler(self) -> None:
@@ -562,20 +573,26 @@ class AsyncServeEngine:
                 and current.mutation_seq == entry.mutation_seq
             ):
                 self.cache.put(key, response)
-            if not planned.future.done():
-                planned.future.set_result(response)
-            self._planner.finish(planned)
-            self._publish_inflight()
-            if planned.admitted:
-                self._admission.release(tenant)
+            self._resolve(tenant, planned, response)
 
     def _fail(self, tenant: str, planned: PlannedQuery, message: str) -> None:
-        if not planned.future.done():
-            planned.future.set_result(error_response(planned.key, message))
+        self._resolve(tenant, planned, error_response(planned.key, message))
+
+    def _resolve(
+        self, tenant: str, planned: PlannedQuery, response: QueryResponse
+    ) -> None:
+        """Retire a query, then answer it.
+
+        The in-flight table, its gauge and the tenant's admission slot are
+        settled before the future resolves, so a client that has its
+        answer never reads the query as still in flight.
+        """
         self._planner.finish(planned)
         self._publish_inflight()
         if planned.admitted:
             self._admission.release(tenant)
+        if not planned.future.done():
+            planned.future.set_result(response)
 
     # -- bookkeeping -----------------------------------------------------
 

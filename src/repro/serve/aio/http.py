@@ -50,7 +50,7 @@ import json
 import signal
 import threading
 from types import FrameType
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.trace import TRACE_HEADER, TraceContext
 from repro.runtime.errors import InvalidQueryError
@@ -100,6 +100,9 @@ class AsyncBRSServer:
         self._startup_error: Optional[BaseException] = None
         self._closed = False
         self._pipelines: List[Any] = []
+        #: Keep-alive connections waiting for their next request; shutdown
+        #: closes them instead of waiting for their clients to hang up.
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -142,6 +145,11 @@ class AsyncBRSServer:
         assert self._server is not None and self._shutdown is not None
         async with self._server:
             await self._shutdown.wait()
+            # Leaving the block waits for every connection to end (on
+            # Python 3.12+); a connection busy with a request answers it
+            # with ``Connection: close`` and ends by itself.
+            for writer in list(self._idle):
+                writer.close()
         await self.engine.aclose()
 
     def start(self) -> "AsyncBRSServer":
@@ -254,9 +262,15 @@ class AsyncBRSServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One connection: parse requests, route, keep-alive until close."""
+        shutdown = self._shutdown
+        assert shutdown is not None
         try:
-            while True:
-                request_line = await reader.readline()
+            while not shutdown.is_set():
+                self._idle.add(writer)
+                try:
+                    request_line = await reader.readline()
+                finally:
+                    self._idle.discard(writer)
                 if not request_line:
                     break
                 parts = request_line.decode("latin-1").strip().split()
@@ -283,9 +297,12 @@ class AsyncBRSServer:
                     )
                     break
                 body = await reader.readexactly(length) if length > 0 else b""
-                keep_alive = headers.get("connection", "").lower() != "close"
                 code, payload, text = await self._route(
                     method, path, headers, body
+                )
+                keep_alive = (
+                    headers.get("connection", "").lower() != "close"
+                    and not shutdown.is_set()
                 )
                 if text is not None:
                     await self._write_text(writer, code, text, keep_alive)

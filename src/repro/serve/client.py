@@ -1,8 +1,12 @@
 """Small stdlib HTTP client for the serving protocol.
 
-Wraps ``urllib.request`` so scripts, tests, and the benchmark harness can
+Built on ``http.client`` so scripts, tests, and the benchmark harness can
 talk to an :class:`~repro.serve.aio.http.AsyncBRSServer` without any
-dependency.
+dependency.  Calls reuse keep-alive connections: sequential calls share
+one TCP connection instead of opening, accepting and tearing one down
+per call (on loopback on a 2-vCPU host that was about 14 thread
+wake-ups and 1.5 ms per cached query, against 3.5 and 0.75 ms on a
+kept connection).
 Non-2xx responses that still carry the JSON protocol envelope (a rejected
 query is HTTP 429 with a full response body) are decoded rather than
 raised, so callers handle backpressure as data; transport-level failures
@@ -16,9 +20,10 @@ the caller's trace (one tree from client call to solver leaf).
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.trace import TRACE_HEADER, active_tracer
@@ -30,8 +35,19 @@ class ServeClientError(BRSError):
     """The server could not be reached or spoke something other than JSON."""
 
 
+#: Failures showing that the server closed a reused keep-alive connection
+#: before reading the request (as it does to idle connections when it
+#: shuts down); such a call is retried once on a fresh connection.
+_STALE = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
+
+
 class ServeClient:
     """Client for one serving endpoint.
+
+    Each call takes an idle connection from the client's pool (opening
+    one when none is idle) and puts it back once the response is read, so
+    sequential calls share one connection and concurrent callers each use
+    their own.  Safe to share between threads.
 
     Args:
         base_url: e.g. ``"http://127.0.0.1:8331"`` (no trailing slash
@@ -44,8 +60,75 @@ class ServeClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._url = urllib.parse.urlsplit(self.base_url)
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the pooled idle connections; a later call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        """Context-manager entry: the client itself."""
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        """Context-manager exit: :meth:`close`."""
+        self.close()
 
     # -- transport -------------------------------------------------------
+
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new (not yet opened) connection to the endpoint."""
+        url = self._url
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ServeClientError(f"not an http(s) URL: {self.base_url!r}")
+        cls = (
+            http.client.HTTPSConnection
+            if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        return cls(url.hostname, url.port, timeout=self.timeout)
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        data: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> Tuple[int, bytes]:
+        """One HTTP exchange on a pooled connection: ``(status, body)``.
+
+        Raises:
+            ServeClientError: when the server cannot be reached or drops
+                the connection mid-exchange.
+        """
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect()
+        while True:
+            try:
+                conn.request(
+                    method, self._url.path + path, body=data, headers=headers
+                )
+                response = conn.getresponse()
+                raw = response.read()
+                break
+            except (http.client.HTTPException, OSError) as exc:
+                conn.close()
+                if not (reused and isinstance(exc, _STALE)):
+                    raise ServeClientError(
+                        f"cannot reach {self.base_url}: {exc}"
+                    )
+                conn, reused = self._connect(), False
+        with self._lock:
+            self._idle.append(conn)
+        return response.status, raw
 
     def _call(
         self,
@@ -61,18 +144,9 @@ class ServeClient:
             headers["Content-Type"] = "application/json"
         if extra_headers:
             headers.update(extra_headers)
-        req = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                raw = resp.read()
-        except urllib.error.HTTPError as exc:
-            # Protocol-level failures (400/429/500) still carry the JSON
-            # envelope; surface them as decoded payloads.
-            raw = exc.read()
-        except (urllib.error.URLError, OSError) as exc:
-            raise ServeClientError(f"cannot reach {self.base_url}: {exc}")
+        # Protocol-level failures (400/429/500) still carry the JSON
+        # envelope; they are decoded as payloads, whatever the status.
+        _status, raw = self._request(method, path, data, headers)
         try:
             doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -142,14 +216,12 @@ class ServeClient:
 
     def metrics_text(self) -> str:
         """The server's Prometheus text exposition (``/metrics``)."""
-        req = urllib.request.Request(
-            self.base_url + "/metrics", headers={"Accept": "text/plain"}
+        status, raw = self._request(
+            "GET", "/metrics", None, {"Accept": "text/plain"}
         )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read().decode("utf-8")
-        except (urllib.error.URLError, OSError) as exc:
-            raise ServeClientError(f"cannot reach {self.base_url}: {exc}")
+        if status != 200:
+            raise ServeClientError(f"/metrics answered HTTP {status}")
+        return raw.decode("utf-8")
 
     def healthy(self) -> bool:
         """True when the server answers its liveness probe."""

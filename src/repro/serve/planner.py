@@ -80,7 +80,7 @@ class BatchPlanner:
             return planned, True
 
     def finish(self, planned: PlannedQuery) -> None:
-        """Retire a query once its future has been resolved."""
+        """Retire a query; the engine does so just before answering it."""
         with self._lock:
             current = self._inflight.get(planned.key)
             if current is planned:

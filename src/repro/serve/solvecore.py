@@ -17,8 +17,9 @@ quality, not just by deadline:
 
 * :data:`RUNG_EXACT` — one exact solve through
   :func:`~repro.columnar.solvers.columnar_best_region`: the vectorized
-  SliceBRS kernel for SUM scores (on the entry's cached columns when
-  unfocused), object-path SliceBRS for coverage and influence.  Under a
+  SliceBRS kernel for SUM, coverage and influence scores (on the entry's
+  cached columns when unfocused), object-path SliceBRS for any other
+  score function.  Under a
   deadline it gets the ladder's share of the budget and falls to the
   cover and grid rungs with the remainder.
 * :data:`RUNG_COVER` — CoverBRS(c=1/3); the paper's 1/4 guarantee
@@ -160,7 +161,7 @@ class QuerySolver:
                 help="queries answered on the grid shedding rung",
             ).inc()
         # Unfocused, the entry itself goes in as the exact rung's columns,
-        # so a SUM score sweeps its cached columns instead of transposing
+        # so the kernel sweeps its cached columns instead of transposing
         # the points per query.
         result = brs.solve(
             cand_points, cand_fn, key.a, key.b, rung=rung, budget=budget,

@@ -5,6 +5,7 @@ all partial sums are then exact in float64 regardless of summation
 order, so score comparisons are byte-identical ``==``, not approx.
 """
 
+import math
 import random
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core.naive import NaiveBRS
 from repro.core.siri import objects_in_region
 from repro.core.slicebrs import SliceBRS
 from repro.functions.coverage import CoverageFunction
+from repro.functions.reduced import reduce_over_cover
 from repro.functions.weighted_sum import SumFunction
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -150,3 +152,141 @@ def test_initial_best_prunes_everything_but_stays_sound():
     result = columnar_slicebrs(points, f, a, b, initial_best=exact.score + 100)
     assert result.status == "ok"
     assert result.score == f.value(result.object_ids)
+
+
+# --- The kernel is SliceBRS: same point, score and search counters ---------
+#
+# One table of score kinds x theta x incumbent.  Coordinates are
+# half-integers with duplicated and nextafter-adjacent objects mixed in,
+# so ties between equal-scoring centers and slabs are everywhere; every
+# weight is dyadic, so the kernel and the object path must agree to the
+# bit, on the center as well as the score.
+
+KINDS = (
+    "sum-unit",
+    "sum-dyadic",
+    "coverage-unit",
+    "coverage-dyadic",
+    "coverage-scaled",
+    "merged-focus",
+    "merged-cover",
+)
+THETAS = (0.5, 1.0, 2.0)
+#: initial_best as a function of the optimum.
+INCUMBENTS = {
+    "zero": lambda opt: 0.0,
+    "half": lambda opt: opt / 2.0,
+    "opt": lambda opt: opt,
+    "above": lambda opt: opt + 1.0,
+}
+CASE_SEEDS = range(6)
+
+
+def _tied_points(rng, n):
+    """Half-integer points, some duplicated, some one ulp from another."""
+    points = []
+    for _ in range(n):
+        roll = rng.random()
+        if points and roll < 0.15:
+            points.append(rng.choice(points))
+        elif points and roll < 0.3:
+            q = rng.choice(points)
+            points.append(Point(math.nextafter(q.x, rng.choice([-1e9, 1e9])), q.y))
+        else:
+            points.append(
+                Point(rng.randrange(0, 31) / 2.0, rng.randrange(0, 31) / 2.0)
+            )
+    return points
+
+
+def _case(kind, seed):
+    """``(points, f, a, b)`` of one table row."""
+    rng = random.Random(f"{kind}-{seed}")
+    n = rng.randint(8, 40)
+    points = _tied_points(rng, n)
+    a = rng.choice([1.0, 1.5, 2.5, 3.0])
+    b = rng.choice([1.0, 2.0, 2.5, 4.0])
+    if kind == "sum-unit":
+        return points, SumFunction(n), a, b
+    if kind == "sum-dyadic":
+        return points, SumFunction(n, [rng.randrange(1, 512) / 256.0 for _ in range(n)]), a, b
+    tags = [
+        {rng.randrange(0, 10) for _ in range(rng.randint(0, 4))} for _ in range(n)
+    ]
+    weights = None
+    if kind != "coverage-unit":
+        weights = {label: rng.randrange(1, 64) / 16.0 for label in range(10)}
+    base = CoverageFunction(
+        tags, weights, scale=1.1 if kind == "coverage-scaled" else 1.0
+    )
+    if kind == "merged-focus":
+        ids = [i for i, p in enumerate(points) if 2.0 < p.x < 13.0]
+        ids = ids or [0]
+        return [points[i] for i in ids], base.merged([[i] for i in ids]), a, b
+    if kind == "merged-cover":
+        from repro.cover.quadtree_cover import select_cover
+
+        c = 1.0 / 3.0
+        cover = select_cover(points, c, a, b)
+        reduced = reduce_over_cover(base, cover.groups)
+        return cover.points, reduced, (1 - c) * a, (1 - c) * b
+    return points, base, a, b
+
+
+@pytest.mark.parametrize("incumbent", sorted(INCUMBENTS))
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_is_slicebrs(kind, theta, incumbent):
+    for seed in CASE_SEEDS:
+        points, f, a, b = _case(kind, seed)
+        opt = NaiveBRS().solve(points, f, a, b).score
+        start = INCUMBENTS[incumbent](opt)
+        obj = SliceBRS(theta=theta).solve(points, f, a, b, initial_best=start)
+        col = columnar_slicebrs(points, f, a, b, theta=theta, initial_best=start)
+        assert (col.point, col.score) == (obj.point, obj.score), (kind, seed)
+        assert col.stats.n_slabs_searched == obj.stats.n_slabs_searched
+        assert col.stats == obj.stats
+        assert col.object_ids == obj.object_ids
+        if start < opt:
+            assert col.score == opt
+
+
+def test_unit_sum_sweep_reports_slicebrs_centers():
+    # Unit weights tie everywhere: the kernel must pick SliceBRS's center
+    # among equal-scoring ones on every instance.
+    differ = []
+    for seed in range(1000):
+        rng = random.Random(seed)
+        n = rng.randint(6, 30)
+        points = [
+            Point(rng.randrange(0, 25) / 2.0, rng.randrange(0, 25) / 2.0)
+            for _ in range(n)
+        ]
+        a = rng.choice([1.0, 1.5, 2.5, 3.0])
+        b = rng.choice([1.0, 2.0, 2.5, 4.0])
+        f = SumFunction(n)
+        obj = SliceBRS().solve(points, f, a, b)
+        col = columnar_slicebrs(points, f, a, b)
+        if (col.point, col.score) != (obj.point, obj.score):
+            differ.append(seed)
+    assert differ == []
+
+
+@pytest.mark.parametrize("kind", ["sum-dyadic", "coverage-dyadic", "merged-focus"])
+def test_kernel_under_an_eval_cap_is_anytime_and_sound(kind):
+    from repro.runtime.budget import Budget
+
+    for seed in range(4):
+        points, f, a, b = _case(kind, seed)
+        opt = NaiveBRS().solve(points, f, a, b).score
+        for max_evals in range(1, 31):
+            result = columnar_slicebrs(
+                points, f, a, b, budget=Budget(max_evals=max_evals)
+            )
+            assert result.score == f.value(result.object_ids)
+            assert result.score <= opt
+            if result.status == "ok":
+                assert result.score == opt
+            else:
+                assert result.status == "timeout"
+                assert opt <= result.upper_bound

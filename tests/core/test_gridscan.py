@@ -18,8 +18,8 @@ from repro.geometry.point import Point
 
 def _best_grid_center_score(points, f, a, b):
     """Brute force over every grid center whose region can hold an object."""
-    x0 = min(p.x for p in points)
-    y0 = min(p.y for p in points)
+    x0 = min(p.x for p in points) - b / 2.0
+    y0 = min(p.y for p in points) - a / 2.0
     nx = int(math.floor((max(p.x for p in points) - x0) / b)) + 2
     ny = int(math.floor((max(p.y for p in points) - y0) / a)) + 2
     return max(
@@ -31,14 +31,16 @@ def _best_grid_center_score(points, f, a, b):
 
 
 def test_object_on_a_low_cell_edge_does_not_rank_its_cell():
-    # (0, 0) sits on the low edge of the first cell, so the region
-    # centered on that cell holds nothing; the cell of (5.5, 5.5) scores 5.
+    # The grid starts half a cell below the minimum, so the minimum object
+    # (0, 0) is the first cell's center and its region scores 10, while
+    # (5.5, 5.5) sits on the low edge of the cell centered on (6, 6) and
+    # is held by no cell.
     points = [Point(0.0, 0.0), Point(5.5, 5.5)]
     f = SumFunction(2, [10.0, 5.0])
     result = coarse_grid_scan(points, f, 1.0, 1.0)
-    assert result.score == 5.0
-    assert result.object_ids == [1]
-    assert (result.point.x, result.point.y) == (5.5, 5.5)
+    assert result.score == 10.0
+    assert result.object_ids == [0]
+    assert (result.point.x, result.point.y) == (0.0, 0.0)
 
 
 coordinates = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)

@@ -114,3 +114,41 @@ class TestMerged:
         fn = CoverageFunction([{"a"}, {"b"}], label_weights={"a": 5.0}, scale=2.0)
         merged = fn.merged([[0, 1]])
         assert merged.value([0]) == 12.0  # 2 * (5 + 1)
+
+    def test_csr_is_derived_from_the_parents(self):
+        # The merged function reuses its parent's code space and weights;
+        # every group's codes are its members' label union, once each.
+        rng = random.Random(3)
+        labels = [
+            {rng.randrange(0, 9) for _ in range(rng.randint(0, 4))}
+            for _ in range(30)
+        ]
+        weights = {label: rng.randrange(1, 16) / 4.0 for label in range(9)}
+        fn = CoverageFunction(labels, label_weights=weights, scale=1.5)
+        groups = [
+            rng.sample(range(30), rng.randint(0, 5)) for _ in range(12)
+        ] + [[], [7, 7]]
+        merged = fn.merged(groups)
+        codes, indptr, code_weights = merged._code_csr()
+        parent_codes, parent_indptr, parent_weights = fn._code_csr()
+        assert code_weights is parent_weights
+        vocab = {
+            int(parent_codes[k]): label
+            for i in range(len(labels))
+            for k, label in zip(
+                range(parent_indptr[i], parent_indptr[i + 1]), fn.labels_of(i)
+            )
+        }
+        for j, group in enumerate(groups):
+            row = codes[indptr[j]:indptr[j + 1]].tolist()
+            assert len(row) == len(set(row))
+            assert {vocab[code] for code in row} == set().union(
+                *(labels[i] for i in group)
+            )
+        ids = list(range(len(groups) - 1))
+        assert list(merged.batch_value(ids, [0, len(ids)])) == [
+            CoverageFunction(
+                [set().union(*(labels[i] for g in groups[:-1] for i in g))],
+                label_weights=weights, scale=1.5,
+            ).value([0])
+        ]

@@ -5,6 +5,7 @@ import threading
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
+    OUTCOMES,
     SLObjective,
     SLOTracker,
     objective_for,
@@ -152,3 +153,30 @@ class TestObjectiveResolution:
     def test_unknown_and_none_default_to_interactive(self):
         assert objective_for("nope") is DEFAULT_OBJECTIVES["interactive"]
         assert objective_for(None) is DEFAULT_OBJECTIVES["interactive"]
+
+
+class TestWindowCounts:
+    """Counts and latencies kept on record follow the window's evictions."""
+
+    def test_snapshot_equals_a_recount_of_the_window(self):
+        import random
+
+        rng = random.Random(20)
+        outcomes = ["ok", "ok", "degraded", "error", "rejected", "bogus"]
+        for _ in range(200):
+            window = rng.choice([1, 2, 7, 100])
+            tracker = SLOTracker(DEFAULT_OBJECTIVES["interactive"], window=window)
+            recorded = []
+            for _ in range(rng.randint(1, 3 * window + 5)):
+                outcome, seconds = rng.choice(outcomes), rng.random()
+                tracker.record(outcome, seconds)
+                recorded.append(
+                    ("error" if outcome == "bogus" else outcome, seconds)
+                )
+            kept = recorded[-window:]
+            snap = tracker.snapshot()
+            assert snap["counts"] == {
+                o: sum(1 for k, _ in kept if k == o) for o in OUTCOMES
+            }
+            served = [s for k, s in kept if k in ("ok", "degraded")]
+            assert snap["p99_seconds"] == percentile(served, 0.99)

@@ -221,9 +221,9 @@ def test_expired_budget_never_reaches_the_exact_or_cover_solver(
 
 
 def test_each_rung_gets_the_ladder_fraction_of_what_is_left(store, monkeypatch):
+    import repro.columnar.solvers as columnar_solvers
     import repro.core.brs as ladder
     from repro.core.coverbrs import CoverBRS
-    from repro.core.slicebrs import SliceBRS
 
     top = Budget(max_evals=20)
     seen = []
@@ -234,7 +234,10 @@ def test_each_rung_gets_the_ladder_fraction_of_what_is_left(store, monkeypatch):
             return solve(*args, **kwargs)
         return run
 
-    monkeypatch.setattr(SliceBRS, "solve", spy(RUNG_EXACT, SliceBRS.solve))
+    monkeypatch.setattr(
+        columnar_solvers, "columnar_best_region",
+        spy(RUNG_EXACT, columnar_solvers.columnar_best_region),
+    )
     monkeypatch.setattr(CoverBRS, "solve", spy(RUNG_COVER, CoverBRS.solve))
     monkeypatch.setattr(
         ladder, "coarse_grid_scan", spy(RUNG_GRID, ladder.coarse_grid_scan)
@@ -242,14 +245,18 @@ def test_each_rung_gets_the_ladder_fraction_of_what_is_left(store, monkeypatch):
     entry = store.resolve("coverage")
     key = _key(entry, focused=False)
     result = best_region(entry.points, entry.fn, key.a, key.b, budget=top)
-    # CoverBRS runs SliceBRS on its reduced instance: keep each rung's
-    # first record.
+    # CoverBRS runs the exact entry on its reduced instance: keep each
+    # rung's first record.
     firsts = [r for i, r in enumerate(seen) if r[0] not in {s[0] for s in seen[:i]}]
     assert [r[0] for r in firsts] == [RUNG_EXACT, RUNG_COVER, RUNG_GRID]
     for rung, granted, left in firsts:
         share = 1.0 if rung == RUNG_GRID else ladder.LADDER_FRACTION
         assert granted == max(1, math.ceil(left * share))
-    assert result.rung == RUNG_GRID and result.upper_bound is not None
+    # Every rung ran; the merged answer keeps the best region any of them
+    # found.  On this instance the exact rung's partial answer (34) beats
+    # the cover rung's partial answer and the grid rung's best cell (32).
+    assert result.rung == RUNG_EXACT and result.status == "timeout"
+    assert result.score == 34.0 and result.upper_bound is not None
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -0.5, 2.0])

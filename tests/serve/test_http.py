@@ -230,3 +230,76 @@ class TestGracefulShutdown:
         assert not client.healthy()
         with pytest.raises(RuntimeError, match="closed"):
             engine.submit_threadsafe(QueryRequest(dataset="d", a=1.0, b=1.0))
+
+
+class _CountingServer(AsyncBRSServer):
+    """Counts the TCP connections the server accepts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.connections = 0
+
+    async def _handle(self, reader, writer):
+        self.connections += 1
+        await super()._handle(reader, writer)
+
+
+def _served(data, port=0):
+    store = DatasetStore()
+    store.add_dataset("demo", data)
+    return _CountingServer(AsyncServeEngine(store, workers=1), port=port)
+
+
+class TestKeepAlive:
+    def test_sequential_calls_share_one_connection(self, data):
+        with _served(data) as srv, ServeClient(srv.url, timeout=30.0) as c:
+            for i in range(4):
+                assert c.query(
+                    QueryRequest(dataset="demo", a=300.0 + i, b=500.0)
+                ).status == "ok"
+            assert c.healthy()
+            assert c.metrics_text().startswith("#")
+            assert srv.connections == 1
+
+    def test_concurrent_callers_each_get_a_connection(self, data):
+        with _served(data) as srv, ServeClient(srv.url, timeout=30.0) as c:
+            barrier = threading.Barrier(3)
+            statuses = []
+
+            def call(i):
+                barrier.wait()
+                statuses.append(c.query(
+                    QueryRequest(dataset="demo", a=200.0 + i, b=350.0)
+                ).status)
+
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert statuses == ["ok"] * 3
+            assert 1 <= srv.connections <= 3
+
+    def test_shutdown_does_not_wait_for_an_idle_client_connection(self, data):
+        srv = _served(data).start()
+        client = ServeClient(srv.url, timeout=30.0)
+        assert client.healthy()  # leaves one idle kept connection
+        loop_thread = srv._thread
+        srv.close()
+        assert not loop_thread.is_alive()
+
+    def test_call_on_a_connection_the_server_closed_retries_once(self, data):
+        first = _served(data).start()
+        client = ServeClient(first.url, timeout=30.0)
+        assert client.healthy()
+        first.close()  # closes the client's kept connection server-side
+        second = _served(data, port=first.port).start()
+        try:
+            # The kept connection fails; a fresh one reaches the new server.
+            assert client.healthy()
+            assert second.connections == 1
+        finally:
+            second.close()
+        # Kept connection closed again and nothing listening: an error.
+        with pytest.raises(ServeClientError):
+            client.stats()
