@@ -2,7 +2,7 @@
 
 Two measurements around the `repro.ingest` pipeline:
 
-* the cost of one durable append (WAL fsync + incremental index apply +
+* the cost of one durable append (WAL fsync + apply +
   snapshot flip + regional cache invalidation) on a live served dataset;
 * the registered ``ingest`` experiment (`python benchmarks/run_all.py
   --json --only ingest` runs the same code through the shape check:

@@ -394,7 +394,7 @@ def _cmd_ingest_replay(args: argparse.Namespace) -> int:
             ]
             recovered = DiversityDataset(
                 name="recovered", points=points, tag_sets=tag_sets,
-                space=pipe.live.quadtree.space,
+                space=pipe.live.space,
             )
             save_dataset(recovered, args.out)
             print(f"wrote recovered dataset to {args.out}")

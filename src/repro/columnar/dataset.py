@@ -6,11 +6,9 @@ columns — the same positional-id convention the object API uses — so a
 columnar solver and an object-path solver given the same dataset talk
 about the same object ids.
 
-Columns are frozen at construction (the arrays are marked read-only):
-mutation happens in :class:`~repro.ingest.live.LiveDataset`, which
-rebuilds its cached columns when its mutation sequence moves.  Freezing
-is what makes the cached sorted-index views and zero-copy slices safe to
-share between solvers, worker processes, and the serve tier.
+Columns are frozen at construction (the arrays are marked read-only).
+Freezing is what makes the cached sorted-index views and zero-copy slices
+safe to share between solvers, worker processes, and the serve tier.
 """
 
 from __future__ import annotations
@@ -205,9 +203,9 @@ class ColumnarDataset:
     def points(self) -> List[Point]:
         """Materialize the object-path :class:`Point` list (lazily, once).
 
-        This is the facade boundary: generators and ingest build columns
-        natively and only pay for Python objects when an object-path
-        consumer actually asks.
+        This is the facade boundary: generators build columns natively
+        and only pay for Python objects when an object-path consumer
+        actually asks.
         """
         if self._points is None:
             self._points = [

@@ -75,7 +75,7 @@ class _SumScore:
     """SUM bounds: running weight sums."""
 
     def __init__(self, f: SumFunction, n: int) -> None:
-        self.weights = np.ascontiguousarray(f.weights, dtype=np.float64)
+        self.weights = f.weight_array()
         if self.weights.size != n:
             raise InvalidQueryError(
                 f"score function covers {self.weights.size} objects but the "

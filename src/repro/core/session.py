@@ -5,7 +5,7 @@ specific query rectangle, views the results, iteratively refines the query
 rectangle (by increasing or decreasing a or b) and executes the refined
 search until she is satisfied".  :class:`ExplorationSession` is that loop
 as an object: it owns the dataset-lifetime state (the quadtree for c-cover
-selection, an R-tree for result inspection, the function's evaluators) and
+selection, the columns of exact solves, an R-tree for result inspection) and
 answers a stream of differently-sized queries, keeping a history the user
 can scroll back through.
 
@@ -122,6 +122,7 @@ class ExplorationSession:
         )
         self._quadtree = Quadtree(self._points)
         self._rtree = RTree(self._points)
+        self._columns = None  # built on the first exact solve
         self._c = c
         self._theta = theta
         self._deadline = deadline
@@ -266,10 +267,17 @@ class ExplorationSession:
                 self._record(a, b, method, result, start_time, before,
                              cache_hit=True)
                 return result
+        if rung == brs.RUNG_EXACT and self._columns is None:
+            # Resolved per call: repro.columnar imports repro.core at
+            # load time.
+            from repro.columnar.dataset import ColumnarDataset
+
+            self._columns = ColumnarDataset.from_points(self._points)
         with active_tracer().span(f"session.{mode}", a=a, b=b):
             result = brs.solve(
                 self._points, self._f, a, b, rung=rung, budget=budget,
                 theta=self._theta, c=self._c, quadtree=self._quadtree,
+                columns=self._columns,
             )
         method = _METHOD_OF_RUNG[result.rung]
         if key is not None and result.status == "ok":

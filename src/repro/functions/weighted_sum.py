@@ -34,11 +34,22 @@ class SumFunction(SetFunction):
             if any(w < 0 for w in weights):
                 raise ValueError("negative weights break monotonicity")
             self._weights = [float(w) for w in weights]
+        self._weight_array = None
 
     @property
     def weights(self) -> Sequence[float]:
         """Per-object weights (read-only view)."""
         return tuple(self._weights)
+
+    def weight_array(self):
+        """The weights as one read-only float64 array, built on first use."""
+        if self._weight_array is None:
+            import numpy as np
+
+            array = np.array(self._weights, dtype=np.float64)
+            array.flags.writeable = False
+            self._weight_array = array
+        return self._weight_array
 
     def weight_of(self, obj_id: int) -> float:
         """Return the weight of one object."""
@@ -64,7 +75,7 @@ class SumFunction(SetFunction):
 
         members = np.asarray(members, dtype=np.int64)
         indptr = np.asarray(indptr, dtype=np.int64)
-        flat = np.asarray(self._weights, dtype=np.float64)[members]
+        flat = self.weight_array()[members]
         csum = np.concatenate((np.zeros(1), np.cumsum(flat)))
         return csum[indptr[1:]] - csum[indptr[:-1]]
 

@@ -221,3 +221,34 @@ def bounding_rect(points: Iterable[Point], pad: float = 0.0) -> Rect:
         y_min=min(ys) - pad,
         y_max=max(ys) + pad,
     )
+
+
+def space_of(points: Sequence[Point]) -> Rect:
+    """Bounding box of ``points``, padded so it is never degenerate."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    pad_x = max((max(xs) - min(xs)) * 0.01, 1.0)
+    pad_y = max((max(ys) - min(ys)) * 0.01, 1.0)
+    return Rect(min(xs) - pad_x, max(xs) + pad_x, min(ys) - pad_y, max(ys) + pad_y)
+
+
+def grown_space(space: Rect, points: Sequence[Point]) -> Rect:
+    """``space`` itself when it holds every point (closed), else grown.
+
+    The grown space is the union of ``space`` and :func:`space_of` the
+    points.  It never shrinks: a served dataset keeps the ``k*q`` ->
+    ``(a, b)`` quantization stable, so cached keys stay reachable.
+    """
+    inside = all(
+        space.x_min <= p.x <= space.x_max and space.y_min <= p.y <= space.y_max
+        for p in points
+    )
+    if inside:
+        return space
+    grown = space_of(points)
+    return Rect(
+        min(space.x_min, grown.x_min),
+        max(space.x_max, grown.x_max),
+        min(space.y_min, grown.y_min),
+        max(space.y_max, grown.y_max),
+    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -25,12 +25,6 @@ class GridIndex:
     Cells are half-open so every point belongs to exactly one cell.  Queries
     use the open-rectangle semantics of the paper: points on the query
     boundary are excluded.
-
-    Built from a snapshot, the grid also supports the streaming-ingest
-    mutation paths (:meth:`insert` / :meth:`delete`): object ids are stable
-    (positions in insertion order, never reused), deleted objects simply
-    leave their cell bucket, and — the grid having no structural
-    invariant — no mutation ever forces a rebuild.
     """
 
     def __init__(self, points: Sequence[Point], cell_size: float) -> None:
@@ -51,13 +45,12 @@ class GridIndex:
         self._cells: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         for obj_id, p in enumerate(points):
             self._cells[self._cell_of(p.x, p.y)].append(obj_id)
-        self._deleted: Set[int] = set()
         self._counter = None
         #: Range queries served; a plain int so the hot path stays cheap.
         #: Call sites publish it into the metrics registry in batches.
         self.n_queries = 0
 
-    #: Below this many live objects the bucket walk beats the one-time
+    #: Below this many objects the bucket walk beats the one-time
     #: sorted-column build, so counts stay on the object path.
     COUNT_FAST_PATH_MIN = 256
 
@@ -68,32 +61,8 @@ class GridIndex:
 
     @property
     def n_objects(self) -> int:
-        """Live (non-deleted) objects in the index."""
-        return len(self._points) - len(self._deleted)
-
-    def insert(self, p: Point) -> int:
-        """Add one object; returns its (stable, never-reused) id."""
-        obj_id = len(self._points)
-        self._points.append(p)
-        self._cells[self._cell_of(p.x, p.y)].append(obj_id)
-        self._counter = None
-        return obj_id
-
-    def delete(self, obj_id: int) -> None:
-        """Remove one object by id.
-
-        Raises:
-            ValueError: on an unknown or already-deleted id.
-        """
-        if not 0 <= obj_id < len(self._points) or obj_id in self._deleted:
-            raise ValueError(f"unknown or deleted object id {obj_id}")
-        p = self._points[obj_id]
-        cell = self._cell_of(p.x, p.y)
-        self._cells[cell].remove(obj_id)
-        if not self._cells[cell]:
-            del self._cells[cell]
-        self._deleted.add(obj_id)
-        self._counter = None
+        """Objects in the index."""
+        return len(self._points)
 
     def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
         return (math.floor(x / self._cell_size), math.floor(y / self._cell_size))
@@ -121,10 +90,8 @@ class GridIndex:
         Large indexes serve counts from a lazily built
         :class:`~repro.columnar.rangecount.SortedRangeCounter` — two
         binary searches plus one vectorized mask instead of a cell-bucket
-        walk.  Any mutation drops the counter, so streaming ingest never
-        reads a stale count; below :attr:`COUNT_FAST_PATH_MIN` objects
-        the build cost is not worth amortizing and counts stay on the
-        bucket path.
+        walk; below :attr:`COUNT_FAST_PATH_MIN` objects the build cost is
+        not worth amortizing and counts stay on the bucket path.
         """
         if self.n_objects >= self.COUNT_FAST_PATH_MIN:
             counter = self._range_counter()
@@ -134,17 +101,13 @@ class GridIndex:
         return len(self.query_rect(rect))
 
     def _range_counter(self):
-        """The live-object sorted-column counter, built on first use."""
+        """The sorted-column counter, built on first use."""
         if self._counter is None:
             try:
                 from repro.columnar.rangecount import SortedRangeCounter
             except ImportError:
                 return None
-            points = self._points
-            if self._deleted:
-                deleted = self._deleted
-                points = [p for i, p in enumerate(points) if i not in deleted]
-            self._counter = SortedRangeCounter(points)
+            self._counter = SortedRangeCounter(self._points)
         return self._counter
 
     def query_center(self, center: Point, width: float, height: float) -> List[int]:

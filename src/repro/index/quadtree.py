@@ -11,20 +11,11 @@ stops at ``max_depth``; leaves at the depth cap may hold several (coincident
 or near-coincident) objects, and the cover-selection code treats each of
 those objects as its own representative, which keeps the cover property
 exact.
-
-For the streaming-ingest layer the tree also maintains itself
-incrementally: :meth:`Quadtree.insert` descends to the owning leaf and
-re-subdivides it, :meth:`Quadtree.delete` removes the id and collapses any
-subtree left with at most one object back into a leaf (so the
-"leaves hold at most one object" invariant survives churn).  A point
-landing *outside* the indexed space violates the root invariant, and the
-tree falls back to a full rebuild over an expanded space; object ids stay
-stable across rebuilds and :attr:`Quadtree.n_rebuilds` counts them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -63,12 +54,7 @@ class QuadtreeNode:
 
 
 class Quadtree:
-    """Point quadtree, built eagerly and maintainable incrementally.
-
-    BRS sessions index a snapshot; the streaming-ingest layer additionally
-    inserts and deletes single objects between solves (see the module
-    docstring for the invariants each path preserves).
-    """
+    """Point quadtree over a snapshot of the objects, built eagerly."""
 
     def __init__(
         self,
@@ -106,9 +92,6 @@ class Quadtree:
                     raise ValueError(f"point {i} at {p} lies outside the space")
         self._points = list(points)
         self._max_depth = max_depth
-        self._deleted: Set[int] = set()
-        #: Full rebuilds forced by an out-of-space insert.
-        self.n_rebuilds = 0
         self.root = QuadtreeNode(space, depth=0)
         self.root.object_ids = list(range(len(points)))
         self.root.count = len(points)
@@ -121,13 +104,13 @@ class Quadtree:
 
     @property
     def points(self) -> Sequence[Point]:
-        """The indexed points (deleted ids stay as positional tombstones)."""
+        """The indexed points."""
         return self._points
 
     @property
     def n_objects(self) -> int:
-        """Live (non-deleted) objects in the index."""
-        return len(self._points) - len(self._deleted)
+        """Objects in the index."""
+        return len(self._points)
 
     def _subdivide(self, node: QuadtreeNode) -> None:
         """Recursively split ``node`` until leaves hold at most one object."""
@@ -163,86 +146,6 @@ class Quadtree:
             child.count = len(child.object_ids)
             self._subdivide(child)
 
-    # -- incremental maintenance ------------------------------------------
-
-    @staticmethod
-    def _child_index(node: QuadtreeNode, p: Point) -> int:
-        """Quadrant of ``p`` under ``node``, matching the subdivision rule."""
-        r = node.rect
-        mid_x = (r.x_min + r.x_max) / 2.0
-        mid_y = (r.y_min + r.y_max) / 2.0
-        return (1 if p.x >= mid_x else 0) + (2 if p.y >= mid_y else 0)
-
-    def insert(self, p: Point) -> int:
-        """Add one object; returns its (stable, never-reused) id.
-
-        A point inside the space descends to its leaf, which is then
-        re-subdivided to restore the one-object-per-leaf invariant.  A
-        point *outside* the space cannot be placed without violating the
-        root invariant, so the tree rebuilds itself over an expanded
-        space — the differential-tested fallback path.
-        """
-        obj_id = len(self._points)
-        self._points.append(p)
-        r = self.root.rect
-        if not (r.x_min <= p.x <= r.x_max and r.y_min <= p.y <= r.y_max):
-            self._rebuild(self._expanded_space(p))
-            return obj_id
-        node = self.root
-        node.count += 1
-        while not node.is_leaf:
-            node = node.children[self._child_index(node, p)]
-            node.count += 1
-        node.object_ids.append(obj_id)
-        self._subdivide(node)
-        return obj_id
-
-    def delete(self, obj_id: int) -> None:
-        """Remove one object by id, collapsing emptied subtrees to leaves.
-
-        Raises:
-            ValueError: on an unknown or already-deleted id.
-        """
-        if not 0 <= obj_id < len(self._points) or obj_id in self._deleted:
-            raise ValueError(f"unknown or deleted object id {obj_id}")
-        self._remove(self.root, obj_id, self._points[obj_id])
-        self._deleted.add(obj_id)
-
-    def _remove(self, node: QuadtreeNode, obj_id: int, p: Point) -> None:
-        node.count -= 1
-        if node.is_leaf:
-            if obj_id not in node.object_ids:
-                raise ValueError(f"object id {obj_id} not present in the tree")
-            node.object_ids.remove(obj_id)
-            return
-        self._remove(node.children[self._child_index(node, p)], obj_id, p)
-        if node.count <= 1:
-            # One object (or none) left under an internal node: fold the
-            # subtree back into a leaf so the structure stays minimal.
-            node.object_ids = self.objects_under(node)
-            node.children = None
-
-    def _expanded_space(self, p: Point) -> Rect:
-        """The current space grown (with slack) to contain ``p``."""
-        r = self.root.rect
-        pad_x = max((r.x_max - r.x_min) * 0.5, abs(p.x) * 1e-6, 1e-9)
-        pad_y = max((r.y_max - r.y_min) * 0.5, abs(p.y) * 1e-6, 1e-9)
-        return Rect(
-            min(r.x_min, p.x - pad_x),
-            max(r.x_max, p.x + pad_x),
-            min(r.y_min, p.y - pad_y),
-            max(r.y_max, p.y + pad_y),
-        )
-
-    def _rebuild(self, space: Rect) -> None:
-        """Fallback: rebuild the whole tree over ``space`` from live ids."""
-        alive = [i for i in range(len(self._points)) if i not in self._deleted]
-        self.root = QuadtreeNode(space, depth=0)
-        self.root.object_ids = alive
-        self.root.count = len(alive)
-        self._subdivide(self.root)
-        self.n_rebuilds += 1
-
     def truncated_nodes(self, depth: int) -> Iterator[QuadtreeNode]:
         """Yield the frontier obtained by cutting the tree at ``depth``.
 
@@ -255,7 +158,7 @@ class Quadtree:
         while stack:
             node = stack.pop()
             if node.count == 0:
-                continue  # nothing in the subtree (empty leaf or post-delete)
+                continue  # an empty leaf
             if node.depth == depth or node.is_leaf:
                 yield node
             else:

@@ -10,22 +10,12 @@ This is a bulk-loaded tree using Sort-Tile-Recursive packing
 run by y, pack leaves of ``fanout`` entries; repeat on the parent level.
 Packing yields near-perfectly filled nodes with O(n log n) build, which
 suits the BRS session workload where the object set is a snapshot.
-
-The streaming-ingest layer additionally needs *incremental* maintenance:
-:meth:`RTree.insert` descends by least-area-enlargement and appends to a
-leaf; :meth:`RTree.delete` unhooks the id, leaving the (still sound, just
-conservative) bounding boxes in place.  When a mutation would violate a
-node invariant — a leaf past its fanout, or deletions outnumbering live
-objects — the tree falls back to a full STR rebuild over the live ids,
-so the packed-quality invariant is restored rather than patched.  Object
-ids stay stable across rebuilds (positions in insertion order, never
-reused); :attr:`n_rebuilds` counts the fallbacks for tests and metrics.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -66,13 +56,10 @@ class RTree:
             raise ValueError("fanout must be at least 2")
         self._points = list(points)
         self._fanout = fanout
-        self._deleted: Set[int] = set()
         self._root = self._bulk_load(list(range(len(points))))
         #: Range queries served; a plain int so the hot path stays cheap.
         #: Call sites publish it into the metrics registry in batches.
         self.n_queries = 0
-        #: Full STR rebuilds forced by a violated node invariant.
-        self.n_rebuilds = 0
 
     def _make_leaf(self, ids: List[int]) -> _Node:
         node = _Node()
@@ -83,8 +70,6 @@ class RTree:
         return node
 
     def _bulk_load(self, ids: List[int]) -> _Node:
-        if not ids:
-            return _Node()  # empty tree: an inverted-bbox leaf matches nothing
         points = self._points
         fanout = self._fanout
 
@@ -114,85 +99,8 @@ class RTree:
 
     @property
     def n_objects(self) -> int:
-        """Live (non-deleted) objects in the index."""
-        return len(self._points) - len(self._deleted)
-
-    def _alive_ids(self) -> List[int]:
-        return [i for i in range(len(self._points)) if i not in self._deleted]
-
-    def _rebuild(self) -> None:
-        """Fallback: repack the whole tree over the live ids (STR quality)."""
-        self._root = self._bulk_load(self._alive_ids())
-        self.n_rebuilds += 1
-
-    def insert(self, p: Point) -> int:
-        """Add one object; returns its (stable, never-reused) id.
-
-        Descends by least-area-enlargement, growing bounding boxes along
-        the path.  If the chosen leaf would exceed the fanout — the node
-        invariant STR packing established — the whole tree is rebuilt
-        instead of split in place, keeping the packed shape the query
-        cost model assumes.
-        """
-        obj_id = len(self._points)
-        self._points.append(p)
-        node = self._root
-        node.grow(p.x, p.x, p.y, p.y)
-        while node.children:
-            node = min(node.children, key=lambda c: self._enlargement(c, p))
-            node.grow(p.x, p.x, p.y, p.y)
-        node.object_ids.append(obj_id)
-        if len(node.object_ids) > self._fanout:
-            self._rebuild()
-        return obj_id
-
-    @staticmethod
-    def _enlargement(node: _Node, p: Point) -> tuple:
-        """(area growth, resulting area) of fitting ``p`` into ``node``."""
-        x_min = min(node.x_min, p.x)
-        x_max = max(node.x_max, p.x)
-        y_min = min(node.y_min, p.y)
-        y_max = max(node.y_max, p.y)
-        new_area = (x_max - x_min) * (y_max - y_min)
-        old_area = max(0.0, node.x_max - node.x_min) * max(
-            0.0, node.y_max - node.y_min
-        )
-        return (new_area - old_area, new_area)
-
-    def delete(self, obj_id: int) -> None:
-        """Remove one object by id.
-
-        The leaf entry is unhooked; ancestor bounding boxes are left
-        unshrunk (a conservative box can only cost pruning time, never
-        correctness).  Once deletions outnumber live objects, the
-        accumulated slack violates the packed-tree invariant and the
-        fallback rebuild compacts everything.
-
-        Raises:
-            ValueError: on an unknown or already-deleted id.
-        """
-        if not 0 <= obj_id < len(self._points) or obj_id in self._deleted:
-            raise ValueError(f"unknown or deleted object id {obj_id}")
-        p = self._points[obj_id]
-        if not self._unhook(self._root, obj_id, p):
-            raise ValueError(f"object id {obj_id} not present in the tree")
-        self._deleted.add(obj_id)
-        if len(self._deleted) > self.n_objects:
-            self._rebuild()
-
-    def _unhook(self, node: _Node, obj_id: int, p: Point) -> bool:
-        """Remove ``obj_id`` from the subtree whose boxes contain ``p``."""
-        if (
-            p.x < node.x_min or p.x > node.x_max
-            or p.y < node.y_min or p.y > node.y_max
-        ):
-            return False
-        if node.children is None:
-            if obj_id in node.object_ids:
-                node.object_ids.remove(obj_id)
-                return True
-            return False
-        return any(self._unhook(child, obj_id, p) for child in node.children)
+        """Objects in the index."""
+        return len(self._points)
 
     @property
     def height(self) -> int:

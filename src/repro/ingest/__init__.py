@@ -1,4 +1,4 @@
-"""Durable streaming ingest: WAL, crash recovery, incremental indexes.
+"""Durable streaming ingest: WAL, crash recovery, snapshot flips.
 
 The paper's exploration setting is interactive, but its data is not
 static: check-ins, venues, and incident reports keep arriving while
@@ -12,11 +12,9 @@ giving up the serving layer's caching or the paper's exact semantics:
 * :mod:`repro.ingest.wal` — the append-only, checksummed, fsynced
   write-ahead log; a batch survives any crash once
   :meth:`~repro.ingest.pipeline.IngestPipeline.append` returns.
-* :mod:`repro.ingest.live` — the mutable working copy: points, payloads,
-  and all three spatial indexes (grid, R-tree, quadtree) maintained
-  incrementally, with rollback and differential-tested rebuild
-  fallbacks; read views are compacted snapshots with stable external
-  ids.
+* :mod:`repro.ingest.live` — the mutable working copy: points, payloads
+  and alive flags, with rollback of a half-applied batch; read views are
+  compacted snapshots with stable external ids.
 * :mod:`repro.ingest.pipeline` — ties them together and pairs each
   atomic snapshot flip with **regional** cache invalidation: only cached
   answers whose query window touches the batch's bounding box are

@@ -1,14 +1,14 @@
-"""The mutable side of a served dataset: points, payloads, live indexes.
+"""The mutable side of a served dataset: points, payloads, alive flags.
 
 A :class:`LiveDataset` is the ingest pipeline's working copy.  It owns
 
 * the full positional history of points (deleted objects stay as
   tombstones so **stable external ids are never reused**),
+* one alive flag per stable id, and
 * per-object payloads (e.g. tag sets for diversity datasets) feeding a
-  deterministic *function builder*, and
-* all three spatial indexes (grid, R-tree, quadtree) maintained
-  **incrementally** in lockstep: every index assigns ids positionally,
-  so LiveDataset ids and index ids are always the same numbers.
+  deterministic *function builder*.
+
+It keeps no spatial index: every query is solved on a snapshot.
 
 Readers never see a LiveDataset.  They see immutable
 :class:`~repro.serve.store.ServedDataset` snapshots produced by
@@ -20,24 +20,20 @@ answers meaningful across churn.
 
 Atomicity: :meth:`apply` validates the whole batch up front (dry run over
 an alive-set copy), so expected failures (unknown delete id, emptying the
-dataset) change nothing.  An *unexpected* mid-batch failure — an index
-bug, an injected fault — triggers rollback: appended tombstone slots are
-truncated, alive flags restored, and all three indexes rebuilt from the
-positional history, which by construction realigns their ids exactly.
+dataset) change nothing.  An *unexpected* mid-batch failure — an injected
+fault, a bug — triggers rollback: appended slots are truncated and the
+alive flags restored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.functions.base import SetFunction
 from repro.functions.coverage import CoverageFunction
 from repro.geometry.point import Point
-from repro.geometry.rect import BBox, Rect
-from repro.index.grid import GridIndex
-from repro.index.quadtree import Quadtree
-from repro.index.rtree import RTree
+from repro.geometry.rect import BBox, Rect, grown_space, space_of
 from repro.ingest.events import Delete, Event, Insert, MutationBatch, validate_events
 from repro.runtime.errors import IngestError
 
@@ -100,7 +96,7 @@ class ApplyResult:
 
 
 class LiveDataset:
-    """Mutable points + payloads + indexes behind one served dataset.
+    """Mutable points + payloads + alive flags behind one served dataset.
 
     Not thread-safe by itself: the pipeline serializes all calls through
     its drain worker.
@@ -111,15 +107,13 @@ class LiveDataset:
             to ``None`` payloads.
         fn_builder: deterministic score-function builder; defaults to the
             diversity coverage builder.
-        space: indexed space for the quadtree; defaults to a padded
-            bounding box (the quadtree self-expands via rebuild when an
-            insert lands outside).
-        grid_cell: grid cell size; defaults to 1/64 of the larger space
-            extent.
-        fanout: R-tree fanout.
+        space: the base space (see :attr:`space`); defaults to the
+            points' padded bounding box,
+            :func:`~repro.geometry.rect.space_of`.
 
     Raises:
-        IngestError: on empty ``points`` or mismatched ``payloads``.
+        IngestError: on empty ``points``, mismatched ``payloads``, or a
+            point outside an explicit ``space``.
     """
 
     def __init__(
@@ -128,8 +122,6 @@ class LiveDataset:
         payloads: Optional[Sequence[Any]] = None,
         fn_builder: FnBuilder = coverage_fn_builder,
         space: Optional[Rect] = None,
-        grid_cell: Optional[float] = None,
-        fanout: int = 16,
     ) -> None:
         if not points:
             raise IngestError("a live dataset needs at least one object")
@@ -139,52 +131,24 @@ class LiveDataset:
             raise IngestError(
                 f"{len(points)} points but {len(payloads)} payloads"
             )
+        if space is None:
+            space = space_of(points)
+        elif grown_space(space, points) != space:
+            raise IngestError(f"a base point lies outside the space {space}")
         self._points: List[Point] = list(points)
         self._payloads: List[Any] = list(payloads)
         self._alive: List[bool] = [True] * len(points)
         self._n_alive = len(points)
         self._fn_builder = fn_builder
         self._space = space
-        self._grid_cell = grid_cell
-        self._fanout = fanout
         self._last_applied_seq = -1
-        self._build_indexes(self._points, deleted=())
-
-    # -- index plumbing --------------------------------------------------
-
-    def _build_indexes(
-        self, points: Sequence[Point], deleted: Sequence[int]
-    ) -> None:
-        """(Re)build all three indexes over the positional history.
-
-        Building over the *full* history and then deleting the tombstoned
-        ids realigns index ids with LiveDataset ids exactly — the property
-        rollback depends on.
-        """
-        if self._grid_cell is None:
-            box = BBox.of_points(points)
-            extent = max(box.x_max - box.x_min, box.y_max - box.y_min)
-            self._grid_cell = extent / 64.0 if extent > 0 else 1.0
-        self.grid = GridIndex(points, cell_size=self._grid_cell)
-        self.rtree = RTree(points, fanout=self._fanout)
-        self.quadtree = Quadtree(points, space=self._space)
-        # Quadtree may expand its space on out-of-space inserts; track the
-        # current one so rebuilds don't shrink it back.
-        self._space = self.quadtree.space
-        for obj_id in deleted:
-            self.grid.delete(obj_id)
-            self.rtree.delete(obj_id)
-            self.quadtree.delete(obj_id)
 
     def _rollback(self, n_before: int, alive_before: List[bool]) -> None:
+        """Undo a half-applied batch: drop its slots, restore the flags."""
         del self._points[n_before:]
         del self._payloads[n_before:]
         self._alive = alive_before
         self._n_alive = sum(alive_before)
-        self._build_indexes(
-            self._points,
-            deleted=[i for i, alive in enumerate(self._alive) if not alive],
-        )
 
     # -- state -----------------------------------------------------------
 
@@ -202,6 +166,16 @@ class LiveDataset:
     def n_total(self) -> int:
         """Stable ids ever assigned (alive + tombstoned)."""
         return len(self._points)
+
+    @property
+    def space(self) -> Rect:
+        """The space a store serves once it installs :meth:`snapshot`.
+
+        The base space, grown over the alive points when one lies outside
+        it: :func:`~repro.geometry.rect.grown_space`, the rule
+        :meth:`~repro.serve.store.DatasetStore.apply_regional` applies.
+        """
+        return grown_space(self._space, [self._points[i] for i in self.alive_ids()])
 
     def is_alive(self, obj_id: int) -> bool:
         """True iff ``obj_id`` names a live object."""
@@ -266,11 +240,11 @@ class LiveDataset:
             raise IngestError("batch would leave the dataset empty")
 
     def apply(self, batch: MutationBatch) -> ApplyResult:
-        """Execute one batch against points, payloads, and all indexes.
+        """Execute one batch against points, payloads, and alive flags.
 
         All-or-nothing: expected failures are caught by an up-front dry
         run; an unexpected mid-batch exception rolls the dataset back to
-        its pre-batch state (rebuilding the indexes) before re-raising as
+        its pre-batch state before re-raising as
         :class:`~repro.runtime.errors.IngestError`.
 
         Raises:
@@ -293,45 +267,24 @@ class LiveDataset:
             for event in batch.events:
                 if isinstance(event, Insert):
                     p = Point(event.x, event.y)
-                    obj_id = len(self._points)
+                    inserted.append(len(self._points))
                     self._points.append(p)
                     self._payloads.append(event.payload)
                     self._alive.append(True)
                     self._n_alive += 1
-                    got = (
-                        self.grid.insert(p),
-                        self.rtree.insert(p),
-                        self.quadtree.insert(p),
-                    )
-                    if got != (obj_id, obj_id, obj_id):
-                        raise IngestError(
-                            f"index id drift: expected {obj_id}, got {got}",
-                            batch_id=batch.batch_id,
-                        )
-                    inserted.append(obj_id)
                 else:
-                    obj_id = event.obj_id
-                    p = self._points[obj_id]
-                    self.grid.delete(obj_id)
-                    self.rtree.delete(obj_id)
-                    self.quadtree.delete(obj_id)
-                    self._alive[obj_id] = False
+                    p = self._points[event.obj_id]
+                    self._alive[event.obj_id] = False
                     self._n_alive -= 1
                 box = BBox(p.x, p.x, p.y, p.y)
                 touched = box if touched is None else touched.union(box)
         except Exception as exc:
             self._rollback(n_before, alive_before)
-            if isinstance(exc, IngestError):
-                raise
             raise IngestError(
                 f"batch failed mid-apply and was rolled back: {exc}",
                 batch_id=batch.batch_id,
             )
         self._last_applied_seq = batch.seq
-        # The quadtree may have rebuilt itself over an expanded space;
-        # keep our record current so a later rollback-rebuild never uses
-        # a stale, smaller space.
-        self._space = self.quadtree.space
         assert touched is not None  # validate_events rejects empty batches
         return ApplyResult(
             seq=batch.seq,
@@ -341,31 +294,6 @@ class LiveDataset:
         )
 
     # -- snapshots -------------------------------------------------------
-
-    def columns(self) -> Any:
-        """Columnar view of the *alive* objects, cached per applied batch.
-
-        The cache key is :attr:`last_applied_seq`: every successful
-        :meth:`apply` bumps it, so mutation invalidates the columns
-        without the dataset tracking the cache explicitly.  Positions in
-        the returned columns follow :meth:`alive_ids` order (ascending
-        stable ids), matching :meth:`snapshot` compaction.
-
-        Returns:
-            The :class:`~repro.columnar.dataset.ColumnarDataset` over the
-            compacted live points.
-        """
-        from repro.columnar.dataset import ColumnarDataset
-
-        key = self._last_applied_seq
-        cached = getattr(self, "_columns_cache", None)
-        if cached is None or cached[0] != key:
-            columns = ColumnarDataset.from_points(
-                [self._points[i] for i in self.alive_ids()]
-            )
-            cached = (key, columns)
-            self._columns_cache = cached
-        return cached[1]
 
     def alive_ids(self) -> List[int]:
         """Stable ids of the live objects, ascending."""
@@ -383,26 +311,3 @@ class LiveDataset:
         points = [self._points[i] for i in ids]
         payloads = [self._payloads[i] for i in ids]
         return points, ids, self._fn_builder(points, payloads)
-
-    def check_consistency(self, rect: Rect) -> List[int]:
-        """Differential check: all three indexes must agree on a query.
-
-        Returns the agreed id list (sorted).
-
-        Raises:
-            IngestError: when any two indexes disagree — the signal the
-                incremental maintenance broke an invariant.
-        """
-        from_grid = sorted(self.grid.query_rect(rect))
-        from_rtree = sorted(self.rtree.query_rect(rect))
-        from_quad = sorted(
-            i
-            for i in self.quadtree.objects_under(self.quadtree.root)
-            if rect.contains_point(self._points[i])
-        )
-        if not (from_grid == from_rtree == from_quad):
-            raise IngestError(
-                f"index disagreement on {rect}: grid={from_grid} "
-                f"rtree={from_rtree} quadtree={from_quad}"
-            )
-        return from_grid

@@ -6,8 +6,8 @@
    number, and written to the write-ahead log (fsync).  From this moment
    it survives any crash: state ``pending``.
 2. **apply** — the drain worker executes it against the
-   :class:`~repro.ingest.live.LiveDataset` (points, payloads, all three
-   indexes), with capped retry/backoff around transient faults; a batch
+   :class:`~repro.ingest.live.LiveDataset` (points, payloads, alive
+   flags), with capped retry/backoff around transient faults; a batch
    that exhausts its retries is marked ``failed`` in the log so recovery
    skips it.  State ``applied``.
 3. **flip** — a compacted snapshot is installed in the

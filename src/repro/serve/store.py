@@ -34,17 +34,8 @@ from repro.datasets.registry import (
 )
 from repro.functions.base import SetFunction
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, grown_space, space_of
 from repro.runtime.errors import InvalidQueryError
-
-
-def _space_of(points: Sequence[Point]) -> Rect:
-    """Bounding box of ``points``, padded so it is never degenerate."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    pad_x = max((max(xs) - min(xs)) * 0.01, 1.0)
-    pad_y = max((max(ys) - min(ys)) * 0.01, 1.0)
-    return Rect(min(xs) - pad_x, max(xs) + pad_x, min(ys) - pad_y, max(ys) + pad_y)
 
 
 @dataclass
@@ -171,7 +162,7 @@ class DatasetStore:
             points=list(points),
             fn=fn,
             fn_key=fn_key,
-            space=space if space is not None else _space_of(points),
+            space=space if space is not None else space_of(points),
         )
         return self._install(entry, expect_new=True)
 
@@ -239,7 +230,7 @@ class DatasetStore:
             points=list(points),
             fn=fn,
             fn_key=old.fn_key,
-            space=_space_of(points),
+            space=space_of(points),
             version=old.version + 1,
             kind=old.kind,
         )
@@ -272,23 +263,7 @@ class DatasetStore:
             raise InvalidQueryError(f"dataset {dataset_id!r} has no objects")
         old = self.resolve(dataset_id)
         if space is None:
-            inside = all(
-                old.space.x_min <= p.x <= old.space.x_max
-                and old.space.y_min <= p.y <= old.space.y_max
-                for p in points
-            )
-            if inside:
-                space = old.space
-            else:
-                # Never shrink: growing the space keeps the k*q -> (a, b)
-                # quantization stable, so cached keys stay reachable.
-                grown = _space_of(points)
-                space = Rect(
-                    min(old.space.x_min, grown.x_min),
-                    max(old.space.x_max, grown.x_max),
-                    min(old.space.y_min, grown.y_min),
-                    max(old.space.y_max, grown.y_max),
-                )
+            space = grown_space(old.space, points)
         entry = ServedDataset(
             id=dataset_id,
             points=list(points),

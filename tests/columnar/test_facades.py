@@ -88,33 +88,19 @@ class TestServedFacade:
 
 
 class TestLiveFacade:
-    def test_columns_track_mutation_seq(self):
-        from repro.datasets.registry import meetup_like
-        from repro.ingest.events import Insert, MutationBatch
-        from repro.ingest.live import live_from_diversity
-
-        live = live_from_diversity(meetup_like(n_objects=50, seed=1))
-        cols = live.columns()
-        assert cols is live.columns()
-        assert cols.n == live.n_alive
-        live.apply(MutationBatch(batch_id="b0", seq=0,
-                                 events=(Insert(1.0, 2.0, None),)))
-        fresh = live.columns()
-        assert fresh is not cols
-        assert fresh.n == live.n_alive
-        # Compaction order: ascending stable ids, like snapshot().
-        points, _, _ = live.snapshot()
-        assert [p.x for p in points] == list(fresh.xs)
-
     def test_best_region_falls_back_on_live_columns(self):
-        """A coverage score on a live dataset solves its alive points."""
+        """A coverage score on a live dataset solves its snapshot."""
         from repro.columnar.solvers import columnar_best_region
         from repro.core.naive import NaiveBRS
+        from repro.ingest.events import Delete, Insert, MutationBatch
         from repro.ingest.live import live_from_diversity
 
         live = live_from_diversity(meetup_like(n_objects=40, seed=2))
+        live.apply(MutationBatch(batch_id="b0", seq=0, events=(
+            Delete(3), Insert(live.point_of(5).x, live.point_of(5).y, ["t"]),
+        )))
         points, _, fn = live.snapshot()
-        got = columnar_best_region(live, fn, 2500.0, 2500.0)
+        got = columnar_best_region(points, fn, 2500.0, 2500.0)
         assert got.status == "ok"
         assert got.score == NaiveBRS().solve(points, fn, 2500.0, 2500.0).score
 
@@ -179,14 +165,3 @@ class TestGridCountFastPath:
             x0, y0 = rng.uniform(-5, 45), rng.uniform(-5, 45)
             rect = Rect(x0, x0 + 10, y0, y0 + 10)
             assert grid.count_rect(rect) == len(grid.query_rect(rect))
-
-    def test_mutation_invalidates_counter(self):
-        pts = [Point(float(i % 20), float(i // 20)) for i in range(300)]
-        grid = GridIndex(pts, cell_size=3.0)
-        rect = Rect(-1.0, 25.0, -1.0, 25.0)
-        before = grid.count_rect(rect)
-        new_id = grid.insert(Point(5.5, 5.5))
-        assert grid.count_rect(rect) == before + 1
-        grid.delete(new_id)
-        grid.delete(0)
-        assert grid.count_rect(rect) == before - 1

@@ -58,6 +58,27 @@ class TestExploreConfirm:
             sess.confirm()
         sess.confirm(2.0, 2.0)  # explicit size works from a cold start
 
+    def test_confirm_transposes_the_points_once(self, session, monkeypatch):
+        from repro.columnar.dataset import ColumnarDataset
+        from repro.core import brs
+
+        sess, points, fn = session
+        calls = []
+        real = ColumnarDataset.from_points.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return real(cls, *args, **kwargs)
+
+        sess.explore(2.0, 2.0)
+        monkeypatch.setattr(ColumnarDataset, "from_points", classmethod(counting))
+        got = [sess.confirm(2.0, 2.0), sess.confirm(3.0, 1.5)]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for result, (a, b) in zip(got, [(2.0, 2.0), (3.0, 1.5)]):
+            want = brs.solve(points, fn, a, b)
+            assert (result.score, result.region) == (want.score, want.region)
+
     def test_confirm_never_below_explore(self, session):
         sess, _, _ = session
         approx = sess.explore(2.0, 2.0)

@@ -38,6 +38,14 @@ class TestSumFunction:
     def test_weight_of(self):
         assert SumFunction(2, [1.5, 2.5]).weight_of(1) == 2.5
 
+    def test_weight_array_is_one_read_only_float64_array(self):
+        fn = SumFunction(3, [1, 2.5, 4])
+        array = fn.weight_array()
+        assert array is fn.weight_array()
+        assert array.dtype.name == "float64" and array.tolist() == [1.0, 2.5, 4.0]
+        with pytest.raises(ValueError):
+            array[0] = 9.0
+
 
 class TestSumEvaluator:
     def test_push_pop(self):

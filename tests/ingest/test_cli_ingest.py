@@ -122,3 +122,38 @@ class TestReplay:
         recovered = load_dataset(str(out))
         assert len(recovered.points) == 80  # 80 + 1 insert - 1 delete
         assert recovered.name == "recovered"
+
+    def test_replay_writes_the_space_a_replayed_store_serves(
+        self, tmp_path, wal_file
+    ):
+        from repro.datasets.registry import DiversityDataset
+        from repro.geometry.point import Point
+        from repro.geometry.rect import Rect
+        from repro.ingest import IngestLog, IngestPipeline, live_from_diversity
+        from repro.io.json_io import save_dataset
+        from repro.serve.store import DatasetStore
+
+        base = DiversityDataset(
+            name="small",
+            points=[Point(1.0 + i, 2.0 + 0.5 * i) for i in range(8)],
+            tag_sets=[frozenset({f"t{i % 3}"}) for i in range(8)],
+            space=Rect(0.0, 10.0, 0.0, 10.0),
+        )
+        data = tmp_path / "small.json"
+        save_dataset(base, data)
+        main(["ingest", "append", str(data), "--log", wal_file,
+              "--insert", "50.0,50.0,t9"])
+        out = tmp_path / "recovered.json"
+        assert main(["ingest", "replay", str(data), "--log", wal_file,
+                     "--out", str(out)]) == 0
+
+        store = DatasetStore()
+        store.add_dataset("d", load_dataset(str(data)))
+        pipe = IngestPipeline(
+            live_from_diversity(load_dataset(str(data))),
+            IngestLog(wal_file), store=store, dataset_id="d",
+        )
+        pipe.close()
+        served = store.resolve("d").space
+        assert load_dataset(str(out)).space == served
+        assert served == Rect(0.0, 51.0, 0.0, 51.0)

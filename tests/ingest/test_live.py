@@ -1,9 +1,9 @@
-"""LiveDataset tests: incremental index maintenance, atomicity, snapshots.
+"""LiveDataset tests: apply, atomicity, snapshots, space.
 
-The central differential: after any event sequence, the incrementally
-maintained indexes must answer exactly like a LiveDataset rebuilt from
-scratch over the same final state — and all three indexes must agree
-with each other and with a brute-force scan.
+The central differential: after any event sequence, what a reader sees
+(alive ids, the snapshot's points, ids and score function) must equal
+what a LiveDataset rebuilt from scratch over the same final history
+shows.
 """
 
 import random
@@ -14,6 +14,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import BBox, Rect
 from repro.ingest.events import Delete, Insert, MutationBatch
 from repro.ingest.live import LiveDataset, coverage_fn_builder, live_from_diversity
+from repro.ingest.selfcheck import check_snapshot
 from repro.runtime.errors import IngestError
 
 SPACE = Rect(0.0, 10.0, 0.0, 10.0)
@@ -33,12 +34,6 @@ def _live(n=20, seed=7):
 
 def _batch(seq, events):
     return MutationBatch(batch_id=f"b{seq}", seq=seq, events=tuple(events))
-
-
-def _brute(live, rect):
-    return sorted(
-        i for i in live.alive_ids() if rect.contains_point(live.point_of(i))
-    )
 
 
 class TestConstruction:
@@ -64,6 +59,10 @@ class TestConstruction:
     def test_rejects_non_diversity_dataset(self):
         with pytest.raises(IngestError):
             live_from_diversity(object())
+
+    def test_rejects_base_point_outside_explicit_space(self):
+        with pytest.raises(IngestError, match="outside the space"):
+            LiveDataset([Point(1, 1), Point(11, 5)], space=SPACE)
 
 
 class TestApply:
@@ -116,7 +115,7 @@ class TestAtomicity:
             live.apply(_batch(0, [Insert(2.0, 2.0), Delete(99)]))
         assert (live.n_total, live.alive_ids()) == before
         assert live.last_applied_seq == -1
-        live.check_consistency(SPACE)
+        assert not check_snapshot(live)
 
     def test_cannot_empty_the_dataset(self):
         live = LiveDataset([Point(1, 1), Point(2, 2)], space=SPACE)
@@ -125,32 +124,38 @@ class TestAtomicity:
         assert live.n_alive == 2
 
     def test_unexpected_midbatch_failure_rolls_back(self, monkeypatch):
+        import repro.ingest.live as live_module
+
         live = _live(n=6)
         live.apply(_batch(0, [Delete(1)]))
         before_alive = live.alive_ids()
-        before_probe = live.check_consistency(SPACE)
+        before_snapshot = live.snapshot()[:2]
 
-        real_insert = live.rtree.insert
         calls = {"n": 0}
 
-        def exploding_insert(p):
+        def exploding_point(x, y):
             calls["n"] += 1
             if calls["n"] == 2:  # second insert of the batch dies mid-apply
-                raise RuntimeError("injected index fault")
-            return real_insert(p)
+                raise RuntimeError("injected fault")
+            return Point(x, y)
 
-        monkeypatch.setattr(live.rtree, "insert", exploding_insert)
-        with pytest.raises(IngestError):
-            live.apply(_batch(1, [Insert(3.0, 3.0), Insert(4.0, 4.0)]))
+        monkeypatch.setattr(live_module, "Point", exploding_point)
+        with pytest.raises(IngestError, match="rolled back"):
+            live.apply(
+                _batch(1, [Insert(3.0, 3.0), Delete(3), Insert(4.0, 4.0)])
+            )
         monkeypatch.undo()
 
+        assert calls["n"] == 2
         assert live.alive_ids() == before_alive
-        assert live.check_consistency(SPACE) == before_probe
-        # The dataset still works after the rollback rebuild: the retry
-        # assigns the same ids the failed attempt would have.
+        assert live.n_total == 6 and live.n_alive == 5
+        assert live.snapshot()[:2] == before_snapshot
+        assert not check_snapshot(live)
+        # The dataset still works after the rollback: the retry assigns
+        # the same ids the failed attempt would have.
         result = live.apply(_batch(1, [Insert(3.0, 3.0), Insert(4.0, 4.0)]))
         assert result.inserted_ids == (6, 7)
-        live.check_consistency(SPACE)
+        assert not check_snapshot(live)
 
 
 class TestIncrementalDifferential:
@@ -165,7 +170,10 @@ class TestIncrementalDifferential:
             for _ in range(rng.randint(1, 4)):
                 if rng.random() < 0.6 or len(alive) <= 2:
                     events.append(
-                        Insert(rng.uniform(1, 9), rng.uniform(1, 9), payload=[1])
+                        Insert(
+                            rng.uniform(1, 9), rng.uniform(1, 9),
+                            payload=sorted(rng.sample(range(12), 2)),
+                        )
                     )
                     alive.add(next_id)
                     next_id += 1
@@ -176,7 +184,7 @@ class TestIncrementalDifferential:
             live.apply(_batch(seq, events))
 
         # Reference: a LiveDataset constructed directly over the final
-        # history (tombstones deleted after a from-scratch index build).
+        # history, its tombstones deleted in one batch.
         rebuilt = LiveDataset(
             [live.point_of(i) for i in range(live.n_total)],
             [live.payload_of(i) for i in range(live.n_total)],
@@ -187,11 +195,14 @@ class TestIncrementalDifferential:
             rebuilt.apply(_batch(0, [Delete(i) for i in dead]))
 
         assert live.alive_ids() == rebuilt.alive_ids() == sorted(alive)
+        points, ids, fn = live.snapshot()
+        ref_points, ref_ids, ref_fn = rebuilt.snapshot()
+        assert (points, ids) == (ref_points, ref_ids)
+        assert points == [live.point_of(i) for i in sorted(alive)]
+        assert not check_snapshot(live) and not check_snapshot(rebuilt)
         for _ in range(8):
-            x, y = rng.uniform(0, 8), rng.uniform(0, 8)
-            rect = Rect(x, x + rng.uniform(0.5, 3.0), y, y + rng.uniform(0.5, 3.0))
-            agreed = live.check_consistency(rect)
-            assert agreed == rebuilt.check_consistency(rect) == _brute(live, rect)
+            subset = rng.sample(range(len(ids)), rng.randint(1, len(ids)))
+            assert fn.value(subset) == ref_fn.value(subset)
 
 
 class TestSnapshot:
@@ -211,6 +222,24 @@ class TestSnapshot:
         points, ids, _ = live.snapshot()
         live.apply(_batch(0, [Delete(0)]))
         assert len(points) == 5 and ids[0] == 0
+
+    def test_space_is_the_base_space_while_it_holds_the_alive_points(self):
+        live = _live(n=5)
+        live.apply(_batch(0, [Insert(10.0, 0.0)]))  # on the closed edge
+        assert live.space == SPACE
+
+    def test_space_grows_like_the_store_serves_it(self):
+        from repro.functions.weighted_sum import SumFunction
+        from repro.serve.store import DatasetStore
+
+        live = _live(n=5)
+        store = DatasetStore()
+        points, _, _ = live.snapshot()
+        store.add_points("d", points, SumFunction(5), space=SPACE)
+        live.apply(_batch(0, [Insert(50.0, 50.0)]))
+        points, ids, fn = live.snapshot()
+        served = store.apply_regional("d", points, fn, ids)
+        assert live.space == served.space == Rect(0.0, 51.0, 0.0, 51.0)
 
     def test_unknown_id_lookups_raise(self):
         live = _live(n=3)
