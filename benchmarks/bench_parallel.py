@@ -1,4 +1,4 @@
-"""Multiprocessing shard-backend benchmark: serial vs process pool.
+"""Multiprocessing shard-backend benchmark: one exact call vs process pool.
 
 Measures :func:`repro.parallel.solve_partitioned` on the Section 6.5
 scalability construction (Gaussian points, seeded SumFunction weights) at

@@ -1,20 +1,10 @@
-"""Partitioned/parallel solver benchmark (the external-memory lineage)."""
+"""Partitioned solver benchmark: the external-memory window decomposition
+solved on a process pool (without one it is a single exact call)."""
 
 import pytest
 
-from repro.core.partitioned import partitioned_best_region
 from repro.core.slicebrs import SliceBRS
-
-
-@pytest.mark.parametrize("n_parts", [1, 2, 4, 8])
-def test_partitioned_runtime(benchmark, gowalla, n_parts):
-    ds, fn = gowalla
-    a, b = ds.query(10)
-    benchmark.pedantic(
-        lambda: partitioned_best_region(ds.points, fn, a, b, n_parts=n_parts),
-        rounds=1,
-        iterations=1,
-    )
+from repro.parallel import solve_partitioned
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -22,7 +12,7 @@ def test_partitioned_parallel_runtime(benchmark, gowalla, workers):
     ds, fn = gowalla
     a, b = ds.query(10)
     benchmark.pedantic(
-        lambda: partitioned_best_region(
+        lambda: solve_partitioned(
             ds.points, fn, a, b, n_parts=workers * 2, workers=workers
         ),
         rounds=1,
@@ -35,5 +25,5 @@ def test_partitioned_matches_monolithic(request, dataset):
     ds, fn = request.getfixturevalue(dataset)
     a, b = ds.query(10)
     whole = SliceBRS().solve(ds.points, fn, a, b)
-    split = partitioned_best_region(ds.points, fn, a, b, n_parts=6)
+    split = solve_partitioned(ds.points, fn, a, b, n_parts=6, workers=2)
     assert split.score == pytest.approx(whole.score)

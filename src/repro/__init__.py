@@ -38,7 +38,6 @@ from repro.core import (
     best_region,
     coarse_grid_scan,
     oe_maxrs,
-    partitioned_best_region,
     sampled_maxrs,
     slicebrs_maxrs,
     topk_regions,
@@ -123,7 +122,6 @@ __all__ = [
     "columnar_oe_maxrs",
     "columnar_slicebrs",
     "metrics_scope",
-    "partitioned_best_region",
     "check_submodular_monotone",
     "oe_maxrs",
     "profile_scope",

@@ -642,9 +642,9 @@ def parallel_speedup(
 
     Not a paper experiment: it measures the `repro.parallel` backend the
     ROADMAP adds on top.  One instance (Gaussian points, seeded uniform
-    SumFunction weights) is solved twice through the same partitioned
-    path — once in-process, once across a pool — so the runtimes differ
-    only by the execution backend and the scores must be identical.
+    SumFunction weights) is solved twice through ``solve_partitioned`` —
+    once without workers (one exact in-process call), once with its
+    windows across a pool — and the scores must be identical.
 
     Sized to 200k objects on machines with at least 4 cores (where the
     pool can win); scaled down elsewhere so the correctness half of the

@@ -21,7 +21,7 @@ from repro.core.coverbrs import CoverBRS, APPROXIMATION_RATIOS
 from repro.core.gridscan import coarse_grid_scan
 from repro.core.maxrs import oe_maxrs, sampled_maxrs, slicebrs_maxrs
 from repro.core.naive import NaiveBRS
-from repro.core.partitioned import Shard, partitioned_best_region, plan_shards
+from repro.core.partitioned import Shard, plan_shards
 from repro.core.session import ExplorationSession, QueryRecord
 from repro.core.result import BRSResult, RESULT_STATUSES, merge_anytime
 from repro.core.slicebrs import SliceBRS
@@ -43,7 +43,6 @@ __all__ = [
     "best_region",
     "coarse_grid_scan",
     "merge_anytime",
-    "partitioned_best_region",
     "plan_shards",
     "oe_maxrs",
     "sampled_maxrs",

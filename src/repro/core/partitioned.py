@@ -1,8 +1,9 @@
-"""Partitioned (and optionally parallel) best-region search.
+"""The overlapping x-window decomposition behind the process-pool solver.
 
-The paper's lineage includes an external-memory MaxRS algorithm [7] for
-datasets that do not fit in RAM.  The same decomposition works for general
-BRS and doubles as a parallelization scheme:
+The paper's lineage includes an external-memory MaxRS algorithm [7]; its
+decomposition works for general BRS too, and
+:func:`repro.parallel.solve_partitioned` uses it to spread one instance
+over worker processes:
 
 Cut the x-axis into windows that overlap by at least the query width
 ``b``.  Any candidate center ``p`` has all of its relevant objects within
@@ -15,22 +16,14 @@ taking the best answer is therefore *exact*:
 * completeness — the window responsible for the optimal center contains
   every object of the optimal region, so its solve scores at least the
   optimum.
-
-Each window solve touches only its own objects, bounding peak memory by
-the window size (the external-memory use) and making windows embarrassingly
-parallel (the multiprocessing use).  A cheap CoverBRS pass first computes a
-global incumbent that every window inherits, so window solves prune
-against the best known answer from the start.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.result import BRSResult
-from repro.functions.base import SetFunction
 from repro.geometry.point import Point
 from repro.runtime.errors import InvalidQueryError
 
@@ -78,8 +71,7 @@ def _window_bounds(
 class Shard:
     """One x-window of a partitioned instance: bounds plus member objects.
 
-    Shards are what the window decomposition hands to downstream executors
-    (the in-process pool here, or the serving subsystem's batch executor):
+    Shards are what the window decomposition hands to the process pool:
     ``object_ids`` index into the *original* point sequence, so a shard
     solve can be mapped back to dataset-global ids.
     """
@@ -121,40 +113,3 @@ def plan_shards(
         if ids:
             shards.append(Shard(len(shards), w_lo, w_hi, ids))
     return shards
-
-
-def partitioned_best_region(
-    points: Sequence[Point],
-    f: SetFunction,
-    a: float,
-    b: float,
-    n_parts: int = 4,
-    theta: float = 1.0,
-    workers: Optional[int] = None,
-) -> BRSResult:
-    """Solve BRS exactly by overlapping x-windows.
-
-    Thin facade over :func:`repro.parallel.solve_partitioned`, which owns
-    both the in-process serial loop and the process-pool execution path
-    (worker bootstrap, budget slicing, retries, serial degradation).
-
-    Args:
-        points: object locations.
-        f: submodular monotone score over object ids.
-        a: query-rectangle height.
-        b: query-rectangle width.
-        n_parts: number of windows (peak memory shrinks with it).
-        theta: slice-width multiple for the window solvers.
-        workers: if given (> 1), solve windows across a process pool of
-            this size; otherwise sequentially in-process.
-
-    Raises:
-        ValueError: on an empty instance or invalid parameters.
-    """
-    # Imported lazily: repro.parallel builds on plan_shards from this
-    # module, so a top-level import would be circular.
-    from repro.parallel.backend import solve_partitioned
-
-    return solve_partitioned(
-        points, f, a, b, n_parts=n_parts, theta=theta, workers=workers
-    )

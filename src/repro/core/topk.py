@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.core.brs import solve
 from repro.core.result import BRSResult
-from repro.core.slicebrs import SliceBRS
 from repro.functions.base import SetFunction
 from repro.functions.reduced import reduce_over_cover
 from repro.geometry.point import Point
@@ -42,11 +42,12 @@ def topk_regions(
         b: query-rectangle width.
         k: number of regions requested; fewer are returned when the objects
             run out.
-        theta: slice-width multiple for the inner SliceBRS.
+        theta: slice-width multiple for each round's exact solve.
         budget: optional execution budget shared by all ``k`` rounds (falls
             back to the ambient scope).  On expiry the rounds completed so
-            far are returned; a round interrupted mid-search contributes
-            its anytime result (``status="timeout"``) and ends the list.
+            far are returned; a round the budget cuts short contributes
+            its ladder answer (``status`` ``"degraded"`` or ``"timeout"``)
+            and ends the list.
 
     Raises:
         InvalidQueryError: if ``k`` is not positive, or on an invalid
@@ -58,7 +59,6 @@ def topk_regions(
     tracer = active_tracer()
     registry = active_registry()
 
-    solver = SliceBRS(theta=theta)
     remaining = list(range(len(points)))
     results: List[BRSResult] = []
     with tracer.span("topk.solve", n_objects=len(points), k=k):
@@ -73,7 +73,9 @@ def topk_regions(
             with tracer.span(
                 "topk.round", round=round_no, n_remaining=len(remaining)
             ) as round_span:
-                sub_result = solver.solve(sub_points, sub_f, a, b, budget=budget)
+                sub_result = solve(
+                    sub_points, sub_f, a, b, budget=budget, theta=theta
+                )
                 round_span.annotate(
                     score=sub_result.score, status=sub_result.status
                 )
@@ -89,10 +91,11 @@ def topk_regions(
                     stats=sub_result.stats,
                     status=sub_result.status,
                     upper_bound=sub_result.upper_bound,
+                    rung=sub_result.rung,
                 )
             )
             if sub_result.status != "ok":
-                break  # budget expired mid-round; later rounds get nothing
+                break  # the budget cut this round short; later rounds get nothing
             claimed = set(original_ids)
             remaining = [i for i in remaining if i not in claimed]
             if not claimed:

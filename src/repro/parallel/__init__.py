@@ -3,7 +3,8 @@
 Public surface:
 
 * :func:`~repro.parallel.backend.solve_partitioned` — the exact
-  partitioned solver, serial or across a process pool.
+  partitioned solver across a process pool (one in-process exact call
+  without one).
 * :func:`~repro.parallel.spec.function_spec` and the spec classes — the
   picklable function descriptors workers bootstrap from.
 * The worker-side message types, exposed for tests and instrumentation.
@@ -25,7 +26,6 @@ from repro.parallel.worker import (
     ShardOutcome,
     ShardTask,
     WorkerPayload,
-    worker_rng,
 )
 
 __all__ = [
@@ -40,5 +40,4 @@ __all__ = [
     "WorkerPayload",
     "ShardTask",
     "ShardOutcome",
-    "worker_rng",
 ]

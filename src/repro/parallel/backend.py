@@ -1,23 +1,23 @@
-"""Multiprocessing shard-solve backend for partitioned best-region search.
+"""Process-pool shard solves for partitioned best-region search.
 
 :func:`solve_partitioned` fans the overlapping x-windows of
 :func:`repro.core.partitioned.plan_shards` out across worker *processes*
-(a :class:`~concurrent.futures.ProcessPoolExecutor`), which is what the
-window decomposition was built for: each window solve is CPU-bound pure
-Python, so thread pools gain nothing under the GIL while process pools
-scale with cores.
+(a :class:`~concurrent.futures.ProcessPoolExecutor`).  Without a pool
+(``workers`` ≤ 1, or a plan of one window) it is one call to
+:func:`repro.core.brs.solve`, the entry point every solve shares: the
+exact kernel walks one best-first order over all slices, which cutting
+the x-axis into windows gives up.
 
-Execution model:
+Execution model of the pool:
 
-* **Bootstrap once per pool.**  Workers receive the object set and a
-  picklable function spec through the pool initializer
+* **Bootstrap once per pool.**  Workers receive the coordinate columns
+  and a picklable function spec through the pool initializer
   (:class:`~repro.parallel.worker.WorkerPayload`); tasks then only carry
   shard ids and scalars, so dispatch cost is O(shard), not O(dataset).
-* **Incumbent sharing.**  A cheap global CoverBRS pass seeds the pruning
-  bound; shards are dispatched widest-first, at most ``workers`` at a
-  time, and every completed shard's score tightens the incumbent handed
-  to the *next* dispatch — later windows prune against the best answer
-  found anywhere so far, which the all-at-once serial path cannot do.
+* **Incumbent sharing.**  Shards are dispatched widest-first, at most
+  ``workers`` at a time, and every completed shard's score tightens the
+  incumbent handed to the *next* dispatch, so later windows prune
+  against the best answer found anywhere so far.
 * **Budget propagation.**  Each task carries the remaining-deadline and
   a remaining-evals slice of the caller's :class:`~repro.runtime.budget.
   Budget`; workers rebuild a local budget from them, so anytime semantics
@@ -26,10 +26,12 @@ Execution model:
 * **Failure handling.**  A worker raising (or an injected fault) requeues
   its shard on the surviving pool; a crashed worker breaks the pool,
   which is rebuilt with the same bootstrap.  Both paths are capped by
-  ``max_retries`` per shard (and pool rebuilds overall); exhausted shards
-  fall back to the in-process serial path, so the answer stays exact
-  whenever any budget remains, and stays *sound* (score ≤ reported
-  upper bound) when it does not.
+  ``max_retries`` per shard (and pool rebuilds overall).  Shards left
+  over when those run out, or when the caller's budget breaks the loop,
+  are answered by one :func:`repro.core.brs.solve` call on the whole
+  instance under the budget left, so the answer stays exact whenever any
+  budget remains, and stays *sound* (score ≤ reported upper bound) when
+  it does not.
 """
 
 from __future__ import annotations
@@ -40,18 +42,17 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
 import multiprocessing
 
-from repro.columnar.solvers import columnar_best_region
-from repro.core.coverbrs import CoverBRS
+from repro.columnar.dataset import as_columnar
+from repro.core.brs import _validate_query, solve
 from repro.core.partitioned import Shard, plan_shards
 from repro.core.result import BRSResult
 from repro.core.siri import objects_in_region
 from repro.core.stats import SearchStats
 from repro.functions.base import SetFunction
-from repro.functions.reduced import reduce_over_cover
 from repro.geometry.point import Point
 from repro.obs.metrics import active_registry
 from repro.obs.trace import active_tracer
@@ -85,7 +86,7 @@ def default_start_method() -> str:
 
 
 class _SolveState:
-    """Mutable merge state shared by the dispatch loop and the fallbacks."""
+    """Mutable merge state shared by the dispatch loop and the leftovers."""
 
     def __init__(self, n_objects: int) -> None:
         self.best_score = 0.0
@@ -113,15 +114,15 @@ def solve_partitioned(
     budget: Optional[Budget] = None,
     start_method: Optional[str] = None,
     max_retries: int = 2,
-    seed: int = 0,
     inject_faults: Optional[Mapping[int, Sequence[str]]] = None,
 ) -> BRSResult:
-    """Solve BRS exactly by overlapping x-windows, optionally multi-core.
+    """Solve BRS exactly, by overlapping x-windows across a process pool.
 
-    The decomposition (and therefore the answer) is identical to the
-    serial :func:`repro.core.partitioned.partitioned_best_region`; with
-    ``workers`` the windows are solved by a process pool as described in
-    the module docstring.
+    With ``workers`` ≤ 1, or when the plan holds one window, this returns
+    :func:`repro.core.brs.solve` on the whole instance unchanged: its
+    status can be ``"ok"``, ``"degraded"`` or ``"timeout"``, and
+    ``n_parts`` is unused.  Otherwise the windows are solved by a process
+    pool as described in the module docstring.
 
     Args:
         points: object locations (ids are positions in this sequence).
@@ -130,77 +131,65 @@ def solve_partitioned(
         b: query-rectangle width.
         n_parts: requested window count.
         theta: slice-width multiple for the window solvers.
-        workers: process-pool size; ``None``/``0``/``1`` solves serially
-            in-process.
+        workers: process-pool size; ``None``/``0``/``1`` solves in one
+            in-process call.
         budget: optional cooperative budget (falls back to the ambient
-            scope).  On expiry the best-so-far answer is returned with
-            ``status="timeout"`` and a sound ``upper_bound``.
+            scope).  On expiry the best-so-far answer is returned with a
+            non-ok status and a sound ``upper_bound``.
         start_method: multiprocessing start method (``"fork"`` /
             ``"spawn"`` / ``"forkserver"``); defaults to
             :func:`default_start_method`.
         max_retries: per-shard requeues after a worker failure, and pool
-            rebuilds after a crash, before degrading that work to the
-            serial path.
-        seed: base for the per-worker RNG seeding (reproducibility).
+            rebuilds after a crash, before the leftover windows are
+            answered in-process.
         inject_faults: test-only fault schedule ``{shard_index: [mode,
             ...]}``; each dispatch of that shard consumes the next mode
             (``"raise"``, ``"crash"``, or ``"stall"``).
 
     Raises:
-        InvalidQueryError: on an empty instance, bad parameters, or a
-            function that cannot cross the process boundary.
+        InvalidQueryError: on an empty instance, non-finite coordinates,
+            bad parameters, or a function that cannot cross the process
+            boundary.
     """
+    _validate_query(points, a, b)
+    if n_parts <= 0:
+        raise InvalidQueryError("n_parts must be positive")
     if max_retries < 0:
         raise InvalidQueryError(f"max_retries must be >= 0, got {max_retries}")
+    n_workers = int(workers or 0)
+    shards = plan_shards(points, b, n_parts) if n_workers > 1 else []
+    if len(shards) <= 1:
+        return solve(points, f, a, b, budget=budget, theta=theta)
+    # Fail fast, before any pool starts, on functions that cannot ship.
+    spec = function_spec(f)
     budget = effective_budget(budget)
     registry = active_registry()
     tracer = active_tracer()
     started = time.perf_counter()
-
-    shards = plan_shards(points, b, n_parts)
-    n_workers = int(workers or 0)
-    use_pool = n_workers > 1 and len(shards) > 1
-    if use_pool:
-        # Fail fast (and serially) on functions that cannot be shipped.
-        spec = function_spec(f)
 
     state = _SolveState(n_objects=len(points))
     with tracer.span(
         "parallel.solve",
         n_objects=len(points),
         n_shards=len(shards),
-        workers=n_workers if use_pool else 0,
+        workers=n_workers,
     ):
-        # Global incumbent from a cheap approximate pass: every window
-        # prunes against it immediately, and it is itself feasible.
-        try:
-            incumbent = CoverBRS(c=1.0 / 3.0, theta=theta).solve(
-                points, f, a, b,
-                budget=budget.sub(time_fraction=0.2, eval_fraction=0.2)
-                if budget is not None else None,
-            )
-            state.improve(incumbent.score, incumbent.point)
-            if incumbent.status != "ok":
-                state.timed_out = True
-        except BudgetExceededError:
-            state.timed_out = True
-
-        if use_pool:
-            leftovers = _run_pool(
-                points, spec, f, a, b, theta, shards, state,
-                workers=n_workers,
-                budget=budget,
-                start_method=start_method or default_start_method(),
-                max_retries=max_retries,
-                seed=seed,
-                inject_faults=inject_faults,
-            )
-        else:
-            leftovers = list(shards)
+        leftovers = _run_pool(
+            points, spec, f, a, b, theta, shards, state,
+            workers=n_workers,
+            budget=budget,
+            start_method=start_method or default_start_method(),
+            max_retries=max_retries,
+            inject_faults=inject_faults,
+        )
         if leftovers:
-            _solve_shards_serial(
-                points, f, a, b, theta, leftovers, state, budget
-            )
+            # One exact call answers every leftover window at once.
+            answer = solve(points, f, a, b, budget=budget, theta=theta)
+            state.stats.merge(answer.stats)
+            state.improve(answer.score, answer.point)
+            if answer.status != "ok":
+                state.timed_out = True
+                state.bounds.append(answer.upper_bound)
 
     if state.best_point is None:
         state.best_point = points[0]
@@ -217,7 +206,7 @@ def solve_partitioned(
         ).observe(time.perf_counter() - started)
         registry.gauge(
             "brs_parallel_workers", help="pool size of the last parallel solve"
-        ).set(float(n_workers if use_pool else 0))
+        ).set(float(n_workers))
     return BRSResult(
         point=state.best_point,
         score=score,
@@ -234,81 +223,6 @@ def solve_partitioned(
     )
 
 
-def _solve_shards_serial(
-    points: Sequence[Point],
-    f: SetFunction,
-    a: float,
-    b: float,
-    theta: float,
-    shards: Sequence[Shard],
-    state: _SolveState,
-    budget: Optional[Budget],
-) -> None:
-    """In-process shard loop: the serial path and the degradation target.
-
-    Shares the incumbent across windows sequentially (each solve starts
-    from the best score any earlier window found) and collects monotone
-    upper bounds for windows the budget cannot afford.
-    """
-    for shard in shards:
-        if budget is not None and budget.expired():
-            state.timed_out = True
-            state.bounds.append(f.value(shard.object_ids))
-            continue
-        sub_points = [points[i] for i in shard.object_ids]
-        sub_f = reduce_over_cover(f, [[i] for i in shard.object_ids])
-        try:
-            result = columnar_best_region(
-                sub_points, sub_f, a, b, theta=theta,
-                initial_best=state.best_score, budget=budget,
-            )
-        except BudgetExceededError:
-            state.timed_out = True
-            state.bounds.append(f.value(shard.object_ids))
-            continue
-        state.stats.merge(result.stats)
-        if result.status != "ok":
-            state.timed_out = True
-            state.bounds.append(
-                result.upper_bound
-                if result.upper_bound is not None
-                else f.value(shard.object_ids)
-            )
-        if result.score > state.best_score and not math.isnan(result.point.x):
-            state.improve(result.score, Point(result.point.x, result.point.y))
-
-
-def _build_payload(
-    points: Sequence[Point],
-    spec: object,
-    a: float,
-    b: float,
-    theta: float,
-    seed: int,
-) -> WorkerPayload:
-    """Bootstrap payload, shipping coordinate arrays when possible.
-
-    Two contiguous float64 buffers pickle (and fork-share) far cheaper
-    than a tuple of Point objects, and workers rebuild only the Points
-    their shards touch.  Anything the columnar layer rejects (non-finite
-    coordinates, an unimportable NumPy) falls back to shipping the
-    objects themselves.
-    """
-    try:
-        from repro.columnar.dataset import as_columnar
-
-        cds = as_columnar(points)
-    except Exception:
-        return WorkerPayload(
-            points=tuple(points), spec=spec, a=a, b=b, theta=theta,
-            seed_base=seed,
-        )
-    return WorkerPayload(
-        points=None, spec=spec, a=a, b=b, theta=theta, seed_base=seed,
-        coords=(cds.xs, cds.ys),
-    )
-
-
 def _run_pool(
     points: Sequence[Point],
     spec: object,
@@ -322,17 +236,22 @@ def _run_pool(
     budget: Optional[Budget],
     start_method: str,
     max_retries: int,
-    seed: int,
     inject_faults: Optional[Mapping[int, Sequence[str]]],
 ) -> List[Shard]:
     """Dispatch shards over a (rebuildable) process pool.
 
-    Returns the shards that must still be solved serially (retry budget
-    exhausted); merge state for everything else lands in ``state``.
+    Returns the shards the pool did not answer (retry budget exhausted,
+    or the caller's budget broke the loop); merge state for everything
+    else lands in ``state``.
     """
     registry = active_registry()
     tracer = active_tracer()
-    payload = _build_payload(points, spec, a, b, theta, seed)
+    # Two contiguous float64 buffers pickle (and fork-share) far cheaper
+    # than Point objects; workers slice out only their shard's columns.
+    cds = as_columnar(points)
+    payload = WorkerPayload(
+        coords=(cds.xs, cds.ys), spec=spec, a=a, b=b, theta=theta
+    )
     ctx = multiprocessing.get_context(start_method)
     faults: Dict[int, Deque[str]] = {
         idx: deque(modes) for idx, modes in (inject_faults or {}).items()
@@ -343,7 +262,7 @@ def _run_pool(
     pending: Deque[Shard] = deque(
         sorted(shards, key=lambda s: -len(s.object_ids))
     )
-    serial_leftovers: List[Shard] = []
+    leftovers: List[Shard] = []
     pool_rebuilds = 0
 
     def _next_task(shard: Shard) -> ShardTask:
@@ -371,7 +290,7 @@ def _run_pool(
         )
 
     def _requeue(shard: Shard, reason: str) -> None:
-        """Requeue a failed/expired shard, or hand it to the serial path."""
+        """Requeue a failed/expired shard, or leave it to the final call."""
         retries[shard.index] = retries.get(shard.index, 0) + 1
         if retries[shard.index] <= max_retries:
             tracer.event("parallel.retry", shard=shard.index, reason=reason)
@@ -388,9 +307,10 @@ def _run_pool(
             if registry.enabled:
                 registry.counter(
                     "brs_parallel_serial_fallbacks_total",
-                    help="shards degraded to the in-process serial path",
+                    help="shards whose retries ran out, left to one "
+                         "in-process solve of the whole instance",
                 ).inc()
-            serial_leftovers.append(shard)
+            leftovers.append(shard)
 
     def _merge(shard: Shard, outcome: ShardOutcome) -> None:
         state.stats.merge(outcome.stats)
@@ -506,6 +426,7 @@ def _run_pool(
             inflight.clear()
 
     # Retry/rebuild budget exhausted (or caller budget expired): whatever
-    # is left degrades to the serial path, which also handles expiry.
-    serial_leftovers.extend(pending)
-    return serial_leftovers
+    # is left goes to the final whole-instance call, which also handles
+    # expiry.
+    leftovers.extend(pending)
+    return leftovers

@@ -76,7 +76,7 @@ def function_spec(fn: SetFunction) -> FunctionSpec:
     Raises:
         InvalidQueryError: when ``fn`` is neither a known function family
             nor picklable — the parallel backend cannot ship it to worker
-            processes (use the serial path instead).
+            processes (call ``solve_partitioned`` without workers instead).
     """
     if isinstance(fn, SumFunction):
         return SumFunctionSpec(tuple(fn.weights))

@@ -3,17 +3,12 @@
 Everything here runs inside pool workers and must be importable at module
 top level so both the ``fork`` and ``spawn`` start methods can find it.
 A pool is bootstrapped once per solve: :func:`init_worker` receives one
-:class:`WorkerPayload` (the object set, a picklable function spec, the
-rectangle, and a seed base) through the executor's initializer, rebuilds
+:class:`WorkerPayload` (the coordinate columns, a picklable function
+spec, and the rectangle) through the executor's initializer, rebuilds
 the score function locally, and parks everything in module globals.
 Tasks then only carry the per-shard bits — object ids, the current
 incumbent, the remaining-budget slice, and an optional injected fault —
 so the per-task pickle cost stays O(shard), not O(dataset).
-
-Each worker seeds its own :class:`random.Random` from the payload's seed
-base mixed with the pool-assigned worker ordinal, so any stochastic
-component stays reproducible per worker without touching the hidden
-module-global RNG state.
 """
 
 from __future__ import annotations
@@ -23,8 +18,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from random import Random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +27,6 @@ from repro.columnar.solvers import columnar_best_region
 from repro.core.stats import SearchStats
 from repro.functions.base import SetFunction
 from repro.functions.reduced import reduce_over_cover
-from repro.geometry.point import Point
 from repro.obs.metrics import MetricsRegistry, counter_delta, metrics_scope
 from repro.obs.trace import Tracer, trace_scope
 from repro.parallel.spec import FunctionSpec
@@ -46,26 +39,21 @@ class WorkerPayload:
     """Everything a pool worker needs exactly once, via the initializer.
 
     Attributes:
-        points: the full object set (shards index into it), or ``None``
-            when :attr:`coords` carries the locations instead.
+        coords: ``(xs, ys)`` float64 arrays of the full object set
+            (shards index into them) — two contiguous buffers pickle far
+            cheaper than Point objects under ``spawn``, and workers build
+            only each shard's own columns.
         spec: picklable descriptor the worker rebuilds the function from.
         a: query-rectangle height.
         b: query-rectangle width.
         theta: slice-width multiple for the shard solver.
-        seed_base: mixed with the worker ordinal to seed the per-worker RNG.
-        coords: optional ``(xs, ys)`` float64 array pair replacing
-            :attr:`points` — two contiguous buffers pickle far cheaper
-            than a tuple of Point objects under ``spawn``, and workers
-            build only each shard's own columns.
     """
 
-    points: Optional[Tuple[Point, ...]]
+    coords: Tuple[Any, Any]
     spec: FunctionSpec
     a: float
     b: float
     theta: float
-    seed_base: int = 0
-    coords: Optional[Tuple[Any, Any]] = None
 
 
 @dataclass(frozen=True)
@@ -156,22 +144,12 @@ def _worker_ordinal() -> int:
 
 def init_worker(payload: WorkerPayload) -> None:
     """Pool initializer: rebuild the instance once per worker process."""
-    _STATE["points"] = payload.points
     _STATE["coords"] = payload.coords
     _STATE["fn"] = payload.spec.build()
     _STATE["a"] = payload.a
     _STATE["b"] = payload.b
     _STATE["theta"] = payload.theta
-    _STATE["rng"] = Random(payload.seed_base * 100003 + _worker_ordinal())
     _STATE["ordinal"] = _worker_ordinal()
-
-
-def worker_rng() -> Random:
-    """The per-worker seeded RNG (for stochastic shard strategies)."""
-    rng = _STATE.get("rng")
-    if rng is None:
-        raise WorkerFailureError("worker not initialized; no RNG available")
-    return rng  # type: ignore[return-value]
 
 
 def _inject(fault: Optional[str], deadline: Optional[float]) -> None:
@@ -211,7 +189,7 @@ def solve_shard(task: ShardTask) -> ShardOutcome:
             injected ``"raise"`` fault fires (the parent requeues the
             shard with capped retries).
     """
-    if _STATE.get("points") is None and _STATE.get("coords") is None:
+    if _STATE.get("coords") is None:
         raise WorkerFailureError(
             f"worker pid {os.getpid()} has no bootstrapped instance"
         )
@@ -223,16 +201,9 @@ def solve_shard(task: ShardTask) -> ShardOutcome:
     b: float = _STATE["b"]  # type: ignore[assignment]
     theta: float = _STATE["theta"]  # type: ignore[assignment]
 
-    coords = _STATE.get("coords")
-    sub_data: Any
-    if coords is not None:
-        # Columnar bootstrap: the shard's own columns, no Points.
-        xs, ys = coords
-        ids = np.asarray(task.object_ids, dtype=np.int64)
-        sub_data = ColumnarDataset(xs[ids], ys[ids])
-    else:
-        points: Sequence[Point] = _STATE["points"]  # type: ignore[assignment]
-        sub_data = [points[i] for i in task.object_ids]
+    xs, ys = _STATE["coords"]  # type: ignore[misc]
+    ids = np.asarray(task.object_ids, dtype=np.int64)
+    sub_data = ColumnarDataset(xs[ids], ys[ids])
     sub_f = reduce_over_cover(fn, [[i] for i in task.object_ids])
     budget = (
         Budget(deadline=task.deadline, max_evals=task.max_evals)

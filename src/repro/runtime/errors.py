@@ -76,8 +76,9 @@ class WorkerFailureError(BRSError):
     by ``repro.parallel`` when a worker is unbootstrapped, an injected
     fault fires, or a shard solve dies.  The parent backend catches it,
     requeues the shard on the surviving pool with capped retries, and
-    degrades to the serial path once retries are exhausted — so it only
-    escapes to callers when even the serial fallback cannot run.
+    answers what is left with one in-process exact solve once retries
+    are exhausted — so it only escapes to callers when even that cannot
+    run.
 
     Attributes:
         shard_index: the shard being solved when the worker failed, when

@@ -11,6 +11,7 @@ import random
 
 from repro.core.brs import best_region
 from repro.core.naive import NaiveBRS
+from repro.core.topk import topk_regions
 from repro.functions.coverage import CoverageFunction
 from repro.functions.saturating import CappedSumFunction
 from repro.geometry.point import Point
@@ -64,6 +65,23 @@ def test_other_scores_fall_back_to_the_object_path_with_a_reason():
     assert metrics["brs_columnar_fallbacks_total"]["value"] == 1
     assert metrics["brs_slicebrs_solves_total"]["value"] == 1
     assert result.score == NaiveBRS().solve(points, f, 3.0, 3.0).score
+
+
+def test_topk_rounds_run_on_the_columnar_plane():
+    points, tags = _instance()
+    events = []
+    with trace_scope(Tracer(events)):
+        results = topk_regions(points, CoverageFunction(tags), 3.0, 3.0, k=3)
+    (root,) = _enters(events, "topk.solve")
+    tree = span_tree(events)
+    under, frontier = [], [root["id"]]
+    while frontier:
+        for child in tree.get(frontier.pop(), []):
+            under.append(child)
+            frontier.append(child)
+    solves = [e for e in _enters(events, "slicebrs.solve") if e["id"] in under]
+    assert len(solves) == len(results) == 3
+    assert {e["path"] for e in solves} == {"columnar"}
 
 
 def test_kernel_spans_nest_like_the_object_path():

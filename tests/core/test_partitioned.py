@@ -1,4 +1,8 @@
-"""Tests for the partitioned/parallel solver driver."""
+"""Tests for the x-window plan and ``solve_partitioned``.
+
+The exactness cases run the windows on a 2-worker pool: without one,
+``solve_partitioned`` is a single exact call and no window is searched.
+"""
 
 import math
 
@@ -9,12 +13,14 @@ from repro.core.naive import NaiveBRS
 from repro.core.partitioned import (
     Shard,
     _window_bounds,
-    partitioned_best_region,
     plan_shards,
 )
 from repro.core.slicebrs import SliceBRS
 from repro.functions.weighted_sum import SumFunction
 from repro.geometry.point import Point
+from repro.obs.trace import Tracer, trace_scope
+from repro.parallel import backend, solve_partitioned
+from repro.runtime.errors import InvalidQueryError
 
 
 class TestWindowBounds:
@@ -86,7 +92,9 @@ class TestWindowBoundsFallback:
             Point(0.17 * i % 10.0, (0.29 * i) % 10.0) for i in range(40)
         ]
         fn = SumFunction(len(points))
-        split = partitioned_best_region(points, fn, a=1.3, b=b, n_parts=16)
+        split = solve_partitioned(
+            points, fn, a=1.3, b=b, n_parts=16, workers=2
+        )
         whole = NaiveBRS().solve(points, fn, a=1.3, b=b)
         assert split.score == pytest.approx(whole.score)
 
@@ -139,29 +147,31 @@ class TestPlanShards:
 class TestPartitionedSolve:
     def test_rejects_bad_parts(self):
         with pytest.raises(ValueError):
-            partitioned_best_region([Point(0, 0)], SumFunction(1), 1, 1, n_parts=0)
+            solve_partitioned([Point(0, 0)], SumFunction(1), 1, 1, n_parts=0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            partitioned_best_region([], SumFunction(0), 1, 1)
+            solve_partitioned([], SumFunction(0), 1, 1)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("n_parts", [1, 2, 5])
     def test_matches_monolithic_exact(self, seed, n_parts):
         points, fn, a, b = random_instance(seed, max_objects=30)
-        split = partitioned_best_region(points, fn, a, b, n_parts=n_parts)
+        split = solve_partitioned(
+            points, fn, a, b, n_parts=n_parts, workers=2
+        )
         whole = NaiveBRS().solve(points, fn, a, b)
         assert split.score == pytest.approx(whole.score)
 
     def test_score_is_reevaluated_globally(self):
         points, fn, a, b = random_instance(seed=50, max_objects=25)
-        result = partitioned_best_region(points, fn, a, b, n_parts=3)
+        result = solve_partitioned(points, fn, a, b, n_parts=3, workers=2)
         assert result.score == pytest.approx(fn.value(result.object_ids))
 
     def test_parallel_workers_same_answer(self):
         points, fn, a, b = random_instance(seed=60, max_objects=35)
-        sequential = partitioned_best_region(points, fn, a, b, n_parts=4)
-        parallel = partitioned_best_region(points, fn, a, b, n_parts=4, workers=2)
+        sequential = solve_partitioned(points, fn, a, b, n_parts=4)
+        parallel = solve_partitioned(points, fn, a, b, n_parts=4, workers=2)
         assert parallel.score == pytest.approx(sequential.score)
 
     def test_optimum_straddling_window_boundary(self):
@@ -171,8 +181,54 @@ class TestPartitionedSolve:
         spread = [Point(0.5, 9.0), Point(9.5, 9.0)]
         points = cluster + spread
         fn = SumFunction(len(points))
-        result = partitioned_best_region(points, fn, a=1.0, b=1.0, n_parts=2)
+        result = solve_partitioned(
+            points, fn, a=1.0, b=1.0, n_parts=2, workers=2
+        )
         assert result.score == 10.0
+
+    def test_without_a_pool_is_one_exact_call(self):
+        points, fn, a, b = random_instance(seed=61, max_objects=35)
+        events = []
+        with trace_scope(Tracer(events)):
+            result = solve_partitioned(points, fn, a, b, n_parts=4)
+        spans = [e["span"] for e in events if e.get("ev") == "enter"]
+        assert spans.count("ladder.solve") == 1
+        assert "parallel.shard" not in spans
+        oracle = NaiveBRS().solve(points, fn, a, b)
+        assert result.score == pytest.approx(oracle.score)
+
+
+class TestValidation:
+    """Malformed instances fail before any window is planned or pooled."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(backend, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_coordinate_names_the_object(self, workers, bad, axis):
+        points = [Point(0, 0), Point(1, 1), Point(3, 3), Point(4, 4)]
+        points[2] = Point(bad, 2.0) if axis == "x" else Point(2.0, bad)
+        with pytest.raises(InvalidQueryError, match=r"object 2 "):
+            solve_partitioned(
+                points, SumFunction(4), 1, 1, n_parts=2, workers=workers
+            )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize(
+        "a,b", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)]
+    )
+    def test_bad_rectangle(self, workers, a, b):
+        points = [Point(0, 0), Point(1, 1), Point(3, 3), Point(4, 4)]
+        with pytest.raises(InvalidQueryError, match="query rectangle"):
+            solve_partitioned(
+                points, SumFunction(4), a, b, n_parts=2, workers=workers
+            )
 
 
 class TestInitialBest:

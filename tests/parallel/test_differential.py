@@ -1,8 +1,9 @@
 """Differential suite: parallel == serial == naive oracle, per instance.
 
 Every seeded instance is solved three ways — the O(n^2) NaiveBRS oracle,
-the serial partitioned path, and the process-pool path — and all three
-must agree on the optimal score.  Instances vary layout (uniform vs
+``solve_partitioned`` without workers (one exact call), and the
+process-pool path over the windows — and all three must agree on the
+optimal score.  Instances vary layout (uniform vs
 clustered), score family (coverage vs weighted sum), rectangle shape
 (square through heavily skewed), and window count, because those are the
 axes the decomposition and the worker protocol could get wrong.

@@ -1,15 +1,15 @@
 """Fault injection for the process-pool backend.
 
 Faults are threaded through the real dispatch path (the task's ``fault``
-field), so retries, pool rebuilds, and the serial degradation are
+field), so retries, pool rebuilds, and the final in-process call are
 exercised end to end:
 
 * a worker that *raises* keeps the pool alive — its shard is requeued
   and the final answer is still exact;
 * a worker that *crashes* breaks the whole pool — the pool is rebuilt
   and the answer is still exact;
-* exhausted retries degrade the shard to the in-process serial path —
-  still exact while the budget allows;
+* exhausted retries leave the shard to one in-process exact call on the
+  whole instance — still exact while the budget allows;
 * a *stalled* worker under a deadline yields an anytime answer: degraded
   but sound (reported score <= reported upper bound).
 """
@@ -77,7 +77,7 @@ def test_retry_exhaustion_degrades_to_serial_exactly(instance):
             inject_faults={0: ["raise", "raise", "raise"]},
         )
     snap = registry.snapshot()
-    # Even with the shard's retry budget gone, the serial fallback makes
+    # Even with the shard's retry budget gone, the in-process call makes
     # the answer exact.
     assert result.status == "ok"
     assert result.score == pytest.approx(oracle.score)
