@@ -646,9 +646,12 @@ def parallel_speedup(
     once without workers (one exact in-process call), once with its
     windows across a pool — and the scores must be identical.
 
-    Sized to 200k objects on machines with at least 4 cores (where the
-    pool can win); scaled down elsewhere so the correctness half of the
-    shape check still runs everywhere.
+    Sized to 200k objects on machines with at least 4 cores; scaled down
+    elsewhere so the correctness half of the shape check still runs
+    everywhere.  The speedup half is expected to fail there: on 2 cores
+    one exact call beat the pool at every size measured (0.23-0.37 s
+    against 4.3 s for 4 workers at 200k), because the windows give up
+    the kernel's single best-first order.
     """
     import os
     import random
@@ -687,6 +690,9 @@ def parallel_speedup(
             notes=[
                 "expected shape: identical scores; speedup >= 1.5x with 4 "
                 "workers on a >= 4-core machine at 200k objects",
+                "the speedup half is expected to fail: the serial row is "
+                "one exact call, which beat the pool at every size "
+                "measured on 2 cores",
             ],
         )
     ]

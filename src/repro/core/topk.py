@@ -44,10 +44,13 @@ def topk_regions(
             run out.
         theta: slice-width multiple for each round's exact solve.
         budget: optional execution budget shared by all ``k`` rounds (falls
-            back to the ambient scope).  On expiry the rounds completed so
-            far are returned; a round the budget cuts short contributes
-            its ladder answer (``status`` ``"degraded"`` or ``"timeout"``)
-            and ends the list.
+            back to the ambient scope).  Each round is one
+            :func:`repro.core.brs.solve` call, so its exact rung may spend
+            :data:`~repro.core.brs.LADDER_FRACTION` of what the budget has
+            left and the cover and grid rungs the rest.  On expiry the
+            rounds completed so far are returned; a round the budget cuts
+            short contributes its ladder answer (``status``
+            ``"degraded"`` or ``"timeout"``) and ends the list.
 
     Raises:
         InvalidQueryError: if ``k`` is not positive, or on an invalid

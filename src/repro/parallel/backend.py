@@ -27,11 +27,12 @@ Execution model of the pool:
   its shard on the surviving pool; a crashed worker breaks the pool,
   which is rebuilt with the same bootstrap.  Both paths are capped by
   ``max_retries`` per shard (and pool rebuilds overall).  Shards left
-  over when those run out, or when the caller's budget breaks the loop,
-  are answered by one :func:`repro.core.brs.solve` call on the whole
-  instance under the budget left, so the answer stays exact whenever any
-  budget remains, and stays *sound* (score ≤ reported upper bound) when
-  it does not.
+  over when those run out are answered by one :func:`repro.core.brs.solve`
+  call on the whole instance under the budget left, so the answer stays
+  exact whenever the budget allows.  Once the caller's budget has expired
+  no further search runs: each leftover window contributes ``f`` of its
+  objects to the upper bound, so the answer stays *sound* (score ≤
+  reported upper bound).
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def solve_partitioned(
             max_retries=max_retries,
             inject_faults=inject_faults,
         )
-        if leftovers:
+        if leftovers and (budget is None or not budget.expired()):
             # One exact call answers every leftover window at once.
             answer = solve(points, f, a, b, budget=budget, theta=theta)
             state.stats.merge(answer.stats)
@@ -190,6 +191,10 @@ def solve_partitioned(
             if answer.status != "ok":
                 state.timed_out = True
                 state.bounds.append(answer.upper_bound)
+        elif leftovers:
+            # No time left to search: each window keeps its own cap.
+            state.timed_out = True
+            state.bounds.extend(f.value(s.object_ids) for s in leftovers)
 
     if state.best_point is None:
         state.best_point = points[0]
@@ -425,8 +430,7 @@ def _run_pool(
                 _requeue(shard, "pool broken")
             inflight.clear()
 
-    # Retry/rebuild budget exhausted (or caller budget expired): whatever
-    # is left goes to the final whole-instance call, which also handles
-    # expiry.
+    # Retry/rebuild budget exhausted (or caller budget expired): the
+    # caller answers whatever is left.
     leftovers.extend(pending)
     return leftovers

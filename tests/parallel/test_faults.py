@@ -11,7 +11,9 @@ exercised end to end:
 * exhausted retries leave the shard to one in-process exact call on the
   whole instance — still exact while the budget allows;
 * a *stalled* worker under a deadline yields an anytime answer: degraded
-  but sound (reported score <= reported upper bound).
+  but sound (reported score <= reported upper bound);
+* windows still undispatched when the deadline passes are not searched;
+  each caps the upper bound with ``f`` of its own objects.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.naive import NaiveBRS
+from repro.core.partitioned import plan_shards
+from repro.functions.weighted_sum import SumFunction
+from repro.geometry.point import Point
 from repro.obs.metrics import MetricsRegistry, metrics_scope
+from repro.obs.trace import Tracer, trace_scope
 from repro.parallel import solve_partitioned
 from repro.runtime.budget import Budget
 from repro.runtime.errors import InvalidQueryError
@@ -106,6 +112,32 @@ def test_stalled_worker_under_deadline_is_sound(instance):
         assert result.upper_bound is not None
         assert result.upper_bound >= result.score - 1e-9
     assert result.score >= 0.0
+
+
+def test_deadline_with_windows_left_searches_no_further():
+    # Six windows on two workers: every dispatch stalls past the deadline,
+    # so the loop breaks with windows never dispatched.
+    points = [Point(float(i), float(i % 3)) for i in range(60)]
+    fn = SumFunction(len(points))
+    shards = plan_shards(points, 1.0, 6)
+    assert len(shards) == 6
+    events = []
+    with trace_scope(Tracer(events)):
+        result = solve_partitioned(
+            points, fn, 1.0, 1.0, n_parts=6, workers=2,
+            budget=Budget(deadline=0.3),
+            inject_faults={s.index: ["stall"] * 3 for s in shards},
+        )
+    spans = [e["span"] for e in events if e.get("ev") == "enter"]
+    assert spans.count("parallel.shard") < len(shards)
+    # Windows left over after the deadline get no whole-instance solve.
+    assert "ladder.solve" not in spans
+    assert result.status == "timeout"
+    # Each unsearched window caps the bound with f of its own objects,
+    # which is tighter than f of the whole instance.
+    window_cap = max(fn.value(s.object_ids) for s in shards)
+    assert result.score - 1e-9 <= result.upper_bound <= window_cap
+    assert window_cap < fn.value(range(len(points)))
 
 
 def test_negative_max_retries_rejected(instance):

@@ -1,5 +1,9 @@
 """Metamorphic properties of the partitioned solver.
 
+Every solve runs its x-windows on a 2-worker pool; each instance here
+plans two or three windows.  Without a pool ``solve_partitioned`` is one
+exact call, and the window plan and merge would go unchecked.
+
 Each property derives a transformed instance whose optimum is *known
 from* the original's — no oracle needed, so they hold at any scale:
 
@@ -39,8 +43,8 @@ def test_translation_shifts_optimum(seed):
     dx, dy = 13.25, -7.5
     moved = [Point(p.x + dx, p.y + dy) for p in points]
 
-    base = solve_partitioned(points, fn, a, b, n_parts=3)
-    shifted = solve_partitioned(moved, fn, a, b, n_parts=3)
+    base = solve_partitioned(points, fn, a, b, n_parts=3, workers=2)
+    shifted = solve_partitioned(moved, fn, a, b, n_parts=3, workers=2)
 
     assert shifted.score == pytest.approx(base.score)
     # The translated original center is still an optimal placement.
@@ -55,9 +59,9 @@ def test_uniform_scaling_preserves_optimum(seed, factor):
     points, fn, a, b = _instance(seed)
     scaled = [Point(p.x * factor, p.y * factor) for p in points]
 
-    base = solve_partitioned(points, fn, a, b, n_parts=3)
+    base = solve_partitioned(points, fn, a, b, n_parts=3, workers=2)
     rescaled = solve_partitioned(
-        scaled, fn, a * factor, b * factor, n_parts=3
+        scaled, fn, a * factor, b * factor, n_parts=3, workers=2
     )
 
     assert rescaled.score == pytest.approx(base.score)
@@ -71,7 +75,7 @@ def test_uniform_scaling_preserves_optimum(seed, factor):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_duplicating_an_object_never_decreases_score(seed):
     points, fn, a, b = random_instance(seed, max_objects=30)
-    base = solve_partitioned(points, fn, a, b, n_parts=3)
+    base = solve_partitioned(points, fn, a, b, n_parts=3, workers=2)
 
     # Duplicate the first object in place: same location, same labels.
     dup_points = list(points) + [points[0]]
@@ -80,5 +84,5 @@ def test_duplicating_an_object_never_decreases_score(seed):
         fn.label_weights,
         scale=fn.scale,
     )
-    dup = solve_partitioned(dup_points, dup_fn, a, b, n_parts=3)
+    dup = solve_partitioned(dup_points, dup_fn, a, b, n_parts=3, workers=2)
     assert dup.score >= base.score - 1e-9

@@ -13,6 +13,9 @@ already passed, and every answer is held to the same invariants:
 * every reported region recounts to its reported score;
 * each call makes exactly one ladder call;
 * a non-final rung whose budget has already expired is skipped.
+
+``topk_regions`` makes one ladder call per round on its shared budget,
+so each round's exact rung gets the ladder's fraction of what is left.
 """
 
 import itertools
@@ -257,6 +260,40 @@ def test_each_rung_gets_the_ladder_fraction_of_what_is_left(store, monkeypatch):
     # the cover rung's partial answer and the grid rung's best cell (32).
     assert result.rung == RUNG_EXACT and result.status == "timeout"
     assert result.score == 34.0 and result.upper_bound is not None
+
+
+def test_topk_rounds_walk_the_ladder_on_the_shared_budget(store):
+    import repro.core.brs as ladder
+    from repro.core.topk import topk_regions
+
+    entry = store.resolve("coverage")
+    key = _key(entry, focused=False)
+    points, fn, a, b = entry.points, entry.fn, key.a, key.b
+    # The evaluations each round's exact search charges when nothing caps it.
+    needs, spent = [], 0
+    for k in (1, 2, 3):
+        uncapped = Budget(max_evals=10**9)
+        topk_regions(points, fn, a, b, k=k, budget=uncapped)
+        needs.append(uncapped.evals - spent)
+        spent = uncapped.evals
+    for cap in range(1, math.ceil(spent / ladder.LADDER_FRACTION) + 3):
+        # A round's exact rung is granted LADDER_FRACTION of what is left,
+        # and finishes only while that grant stays above its need.
+        left, completed = cap, 0
+        for need in needs:
+            if math.ceil(left * ladder.LADDER_FRACTION) <= need:
+                break
+            left -= need
+            completed += 1
+        results = topk_regions(
+            points, fn, a, b, k=3, budget=Budget(max_evals=cap)
+        )
+        statuses = [r.status for r in results]
+        assert statuses[:completed] == ["ok"] * completed, cap
+        # The first round the budget cuts short is the last one listed.
+        assert len(results) == min(completed + 1, 3), cap
+        if completed < 3:
+            assert statuses[-1] != "ok", cap
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -0.5, 2.0])
